@@ -461,35 +461,13 @@ Result<std::shared_ptr<const CompiledProgram>> CompileEmbedded(
   return std::shared_ptr<const CompiledProgram>(std::move(prog));
 }
 
-CompiledPlanSet::Mode CompiledPlanSet::ParseMode(std::string_view text) {
-  if (text == "off") return Mode::kOff;
-  if (text == "on") return Mode::kOn;
-  return Mode::kAuto;
-}
-
-const char* CompiledPlanSet::ModeName(Mode mode) {
-  switch (mode) {
-    case Mode::kOff:
-      return "off";
-    case Mode::kOn:
-      return "on";
-    case Mode::kAuto:
-      return "auto";
-  }
-  return "auto";
-}
-
-template <typename CompileFn>
-std::shared_ptr<const CompiledProgram> CompiledPlanSet::GetOrCompile(
-    Mode mode, const std::string& key, const CompileFn& compile,
-    std::string* why, bool* failed) {
+std::shared_ptr<const CompiledProgram> CompiledPlanSet::GetOrCompilePlain(
+    const FoQuery& q,
+    const std::shared_ptr<const ControllabilityAnalysis>& analysis,
+    const VarSet& param_vars, std::string* why, bool* failed) {
   if (failed != nullptr) *failed = false;
-  if (mode == Mode::kOff) {
-    if (why != nullptr) *why = "off";
-    return nullptr;
-  }
   std::lock_guard<std::mutex> lock(mu_);
-  PlanSlot& slot = slots_[key];
+  PlanSlot& slot = slots_[VarSetToString(param_vars)];
   ++slot.sightings;
   if (slot.program != nullptr) {
     if (why != nullptr) why->clear();
@@ -500,11 +478,12 @@ std::shared_ptr<const CompiledProgram> CompiledPlanSet::GetOrCompile(
     if (failed != nullptr) *failed = true;
     return nullptr;
   }
-  if (mode == Mode::kAuto && slot.sightings < 2) {
+  if (slot.sightings < 2) {
     if (why != nullptr) *why = "auto: deferred until second sighting";
     return nullptr;
   }
-  Result<std::shared_ptr<const CompiledProgram>> result = compile();
+  Result<std::shared_ptr<const CompiledProgram>> result =
+      CompilePlain(q, analysis, param_vars);
   if (result.ok()) {
     slot.program = std::move(result).ValueOrDie();
     ++compiles_;
@@ -516,23 +495,6 @@ std::shared_ptr<const CompiledProgram> CompiledPlanSet::GetOrCompile(
   if (why != nullptr) *why = slot.reason;
   if (failed != nullptr) *failed = true;
   return nullptr;
-}
-
-std::shared_ptr<const CompiledProgram> CompiledPlanSet::GetOrCompilePlain(
-    Mode mode, const FoQuery& q,
-    const std::shared_ptr<const ControllabilityAnalysis>& analysis,
-    const VarSet& param_vars, std::string* why, bool* failed) {
-  return GetOrCompile(
-      mode, "plain\x1f" + VarSetToString(param_vars),
-      [&] { return CompilePlain(q, analysis, param_vars); }, why, failed);
-}
-
-std::shared_ptr<const CompiledProgram> CompiledPlanSet::GetOrCompileEmbedded(
-    Mode mode, const std::shared_ptr<const EmbeddedCqAnalysis>& analysis,
-    std::string* why, bool* failed) {
-  return GetOrCompile(
-      mode, "embedded\x1f" + VarSetToString(analysis->params()),
-      [&] { return CompileEmbedded(analysis); }, why, failed);
 }
 
 uint64_t CompiledPlanSet::compiles() const {

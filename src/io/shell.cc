@@ -63,6 +63,16 @@ std::string RenderSpans(const std::vector<obs::TraceEvent>& events) {
   return out;
 }
 
+/// A certificate stamped with the query's fingerprint, id and text.
+obs::AccessCertificate CertificateFor(const ServePlan& plan,
+                                      const obs::QueryId& qid) {
+  obs::AccessCertificate cert;
+  cert.query_fingerprint = plan.fingerprint;
+  cert.query_id = obs::RenderQueryId(qid);
+  cert.query_text = plan.query_text;
+  return cert;
+}
+
 }  // namespace
 
 Shell::Shell() {
@@ -127,10 +137,6 @@ Shell::Shell() {
           .Set(static_cast<int64_t>(*parsed));
     }
   }
-  if (const char* mode = std::getenv("SCALEIN_COMPILE");
-      mode != nullptr && mode[0] != '\0') {
-    compile_mode_ = exec::CompiledPlanSet::ParseMode(mode);
-  }
 }
 
 Shell::~Shell() {
@@ -164,10 +170,6 @@ std::string Shell::HelpText() {
       "  explain qdsi <M> <cq-rule> | explain analyze <fo-query>\n"
       "  qdsi <M> Q(x) :- <CQ body>\n"
       "  limit [fetch=N] [deadline=MS] [rows=N] | limit off\n"
-      "  compile [on|off|auto|status]  bytecode compilation of bounded plans\n"
-      "                 (auto: compile a parameter-set on its 2nd sighting;\n"
-      "                 off restores pure interpretation; also settable via\n"
-      "                 SCALEIN_COMPILE)\n"
       "  threads [N]    show or resize the morsel worker pool and report\n"
       "                 shard-advisor decisions (applied on resize)\n"
       "  stats [prom] | stats watch <secs> [path] | stats watch off\n"
@@ -298,8 +300,6 @@ Result<std::string> Shell::ExecuteImpl(const std::string& command,
 
   if (command == "limit") return RunLimit(rest);
 
-  if (command == "compile") return RunCompile(rest);
-
   if (command == "qdsi") return RunQdsi(rest, /*explain=*/false);
 
   if (command == "journal") return RunJournal();
@@ -321,102 +321,22 @@ Result<std::string> Shell::ExecuteImpl(const std::string& command,
 Result<std::string> Shell::RunEval(std::string_view rest, bool explain) {
   const char* usage = explain ? "usage: explain var=value,... <query>"
                               : "usage: eval var=value,... <query>";
-  size_t sp = rest.find(' ');
-  if (sp == std::string_view::npos) return Status::InvalidArgument(usage);
-  SI_ASSIGN_OR_RETURN(Binding params, ParseShellBinding(rest.substr(0, sp)));
-  const std::string query_text(StripWhitespace(rest.substr(sp + 1)));
-  SI_ASSIGN_OR_RETURN(FoQuery q, ParseFoQuery(query_text, &schema_));
-  if (db_ == nullptr) return Status::FailedPrecondition("no data loaded");
+  SI_ASSIGN_OR_RETURN(ServePlan plan, ParsePlan(rest, usage));
   // One correlation id per evaluation: every span, recorder event, slow-log
   // entry, certificate, journal line, and post-mortem dump produced below
   // carries it (workers included), so one query's artifacts join on one id.
   const obs::QueryId qid{obs::SessionFingerprint(), ++query_seq_};
   obs::ScopedQueryCorrelation correlate(qid);
-  std::shared_ptr<exec::CompiledPlanSet> compiled_set;
-  SI_ASSIGN_OR_RETURN(
-      std::shared_ptr<const ControllabilityAnalysis> analysis,
-      analysis_cache_->GetOrAnalyze(q.body, query_text, schema_, access_, {},
-                                    &compiled_set));
+  SI_RETURN_IF_ERROR(AnalyzePlan(&plan));
   metrics_->GetGauge("shell.analysis_cache.hits")
       .Set(static_cast<int64_t>(analysis_cache_->stats().hits));
   metrics_->GetGauge("shell.analysis_cache.misses")
       .Set(static_cast<int64_t>(analysis_cache_->stats().misses));
   SI_RETURN_IF_ERROR(access_.BuildIndexes(db_.get(), schema_));
 
-  const std::string fingerprint = obs::Fingerprint(query_text);
-  if (obs::FlightRecorderEnabled()) {
-    obs::RecordFlightEvent(obs::EventKind::kPlan, fingerprint,
-                           {obs::EventArg("query", query_text)});
-  }
-
-  // Compiled path: consult the cache entry's plan set under the session's
-  // compile mode. nullptr (deferred, unsupported, or off) means interpret;
-  // a genuine compile failure additionally counts as a fallback.
-  VarSet param_vars;
-  for (const auto& [v, val] : params) {
-    (void)val;
-    param_vars.insert(v);
-  }
-  std::shared_ptr<const exec::CompiledProgram> program;
-  std::string compile_why;
-  if (compiled_set != nullptr) {
-    bool compile_failed = false;
-    program = compiled_set->GetOrCompilePlain(compile_mode_, q, analysis,
-                                              param_vars, &compile_why,
-                                              &compile_failed);
-    if (compile_failed) {
-      metrics_->GetCounter("exec.compiled_fallbacks").Increment();
-    }
-  }
-  BoundedEvalStats stats;
-  stats.capture_ops = explain;
-  const uint64_t start_ns = obs::MonotonicNowNs();
-  Result<exec::Degraded<AnswerSet>> evaled = [&] {
-    if (program != nullptr) {
-      metrics_->GetCounter("exec.compiled_hits").Increment();
-      exec::CompiledEvaluator vm(db_.get());
-      vm.set_collect_timing(explain);
-      vm.set_limits(limits_);
-      return vm.EvaluateDegraded(*program, params, &stats);
-    }
-    BoundedEvaluator evaluator(db_.get());
-    evaluator.set_collect_timing(explain);
-    evaluator.set_limits(limits_);
-    return evaluator.EvaluateDegraded(q, *analysis, params, &stats);
-  }();
-  const double elapsed_ms =
-      static_cast<double>(obs::MonotonicNowNs() - start_ns) / 1e6;
-  if (!evaled.ok()) {
-    // A non-controllable query is workload signal, not just an error: seal a
-    // no-static-bound certificate for it so `workload` and the offline report
-    // can rank recurring classes that a view would make controllable
-    // (ROADMAP item 5) before surfacing the original error.
-    if (evaled.status().code() == StatusCode::kFailedPrecondition &&
-        evaled.status().message().find("not controlled") !=
-            std::string::npos) {
-      metrics_->GetCounter("shell.noncontrollable_queries").Increment();
-      obs::AccessCertificate cert;
-      cert.query_fingerprint = fingerprint;
-      cert.query_id = obs::RenderQueryId(qid);
-      cert.query_text = query_text;
-      (void)RecordEvalOutcome(std::move(cert), elapsed_ms,
-                              /*noncontrollable=*/true,
-                              /*governor_tripped=*/false);
-    }
-    return evaled.status();
-  }
-  exec::Degraded<AnswerSet> degraded = std::move(evaled).ValueOrDie();
-  metrics_
-      ->GetHistogram("shell.eval_latency_ms", obs::DefaultLatencyBucketsMs())
-      .Observe(elapsed_ms);
-  const AnswerSet& answers = degraded.value;
-  metrics_->GetCounter("shell.queries").Increment();
-  metrics_->GetCounter("shell.base_tuples_fetched")
-      .Increment(stats.base_tuples_fetched);
-  metrics_->GetCounter("shell.index_lookups").Increment(stats.index_lookups);
-  for (const auto& [relation, fetched] : stats.fetched_by_relation) {
-    metrics_->GetCounter("shell.fetched." + relation).Increment(fetched);
-  }
+  SI_ASSIGN_OR_RETURN(EvalRun run, RunPlan(plan, limits_, qid,
+                                           /*client_tag=*/"", explain));
+  const BoundedEvalStats& stats = run.stats;
   for (const auto& [lane, fetched] : stats.fetched_by_lane) {
     metrics_->GetCounter(StrFormat("shell.lane.%d.fetched", lane))
         .Increment(fetched);
@@ -434,32 +354,182 @@ Result<std::string> Shell::RunEval(std::string_view rest, bool explain) {
     metrics_->GetGauge("shell.advisor.reshards")
         .Set(static_cast<int64_t>(shard_advisor_.reshards()));
   }
-  if (!degraded.complete) {
-    metrics_
-        ->GetCounter(std::string("shell.governor.trips.") +
-                     exec::LimitKindName(degraded.trip.kind))
-        .Increment();
-  }
-
   // Slow-query log: the threshold lives in a gauge so it is visible in
   // `stats` output and settable from both `slowlog` and the environment.
   const int64_t slow_ms =
       metrics_->GetGauge("shell.slow_query_threshold_ms").value();
-  if (slow_ms > 0 && elapsed_ms >= static_cast<double>(slow_ms)) {
+  if (slow_ms > 0 && run.elapsed_ms >= static_cast<double>(slow_ms)) {
     metrics_->GetCounter("shell.slow_queries").Increment();
     if (obs::FlightRecorderEnabled()) {
       obs::RecordFlightEvent(
-          obs::EventKind::kSlowQuery, fingerprint,
-          {obs::EventArg("ms", elapsed_ms),
+          obs::EventKind::kSlowQuery, plan.fingerprint,
+          {obs::EventArg("ms", run.elapsed_ms),
            obs::EventArg("threshold_ms", static_cast<uint64_t>(slow_ms))});
     }
   }
 
-  // Seal this query's access certificate and journal it.
-  obs::AccessCertificate cert;
-  cert.query_fingerprint = fingerprint;
-  cert.query_id = obs::RenderQueryId(qid);
-  cert.query_text = query_text;
+  ServeEvalOutcome outcome = SealRun(plan, qid, /*client_tag=*/"", run);
+  if (!explain) return outcome.rendered;
+  std::string out = obs::RenderExplainAnalyze(
+      stats.ops, stats.base_tuples_fetched, stats.index_lookups,
+      stats.static_bound, outcome.trip);
+  if (!stats.fetched_by_lane.empty()) {
+    out += "lanes:";
+    for (const auto& [lane, fetched] : stats.fetched_by_lane) {
+      out += StrFormat(" %d=%llu", lane,
+                       static_cast<unsigned long long>(fetched));
+    }
+    out += "\n";
+  }
+  if (run.program != nullptr) {
+    out += "compiled:\n" + run.program->Disassemble();
+  } else if (!run.compile_why.empty()) {
+    out += "compiled: interpreted (" + run.compile_why + ")\n";
+  }
+  return out +
+         StrFormat("(%zu answers%s)\n", outcome.answers,
+                   outcome.complete ? "" : ", partial") +
+         outcome.warnings;
+}
+
+Status Shell::PrepareServe() {
+  if (db_ == nullptr) return Status::FailedPrecondition("no data loaded");
+  // Index construction is the one database mutation on the eval path; doing
+  // it here means concurrent serve evaluations only ever read.
+  return access_.BuildIndexes(db_.get(), schema_);
+}
+
+Result<ServePlan> Shell::PlanForServe(std::string_view rest) {
+  SI_ASSIGN_OR_RETURN(ServePlan plan,
+                      ParsePlan(rest, "usage: eval var=value,... <query>"));
+  SI_RETURN_IF_ERROR(AnalyzePlan(&plan));
+  return plan;
+}
+
+Result<ServePlan> Shell::ParsePlan(std::string_view rest,
+                                   const char* usage) const {
+  size_t sp = rest.find(' ');
+  if (sp == std::string_view::npos) return Status::InvalidArgument(usage);
+  ServePlan plan;
+  SI_ASSIGN_OR_RETURN(plan.params, ParseShellBinding(rest.substr(0, sp)));
+  for (const auto& [v, val] : plan.params) {
+    (void)val;
+    plan.param_vars.insert(v);
+  }
+  plan.query_text = std::string(StripWhitespace(rest.substr(sp + 1)));
+  SI_ASSIGN_OR_RETURN(plan.query, ParseFoQuery(plan.query_text, &schema_));
+  if (db_ == nullptr) return Status::FailedPrecondition("no data loaded");
+  plan.fingerprint = obs::Fingerprint(plan.query_text);
+  return plan;
+}
+
+Status Shell::AnalyzePlan(ServePlan* plan) {
+  SI_ASSIGN_OR_RETURN(plan->analysis,
+                      analysis_cache_->GetOrAnalyze(plan->query.body,
+                                                    plan->query_text, schema_,
+                                                    access_, {},
+                                                    &plan->compiled));
+  // The same option the evaluator will execute, so the bound the admission
+  // decision cites is the bound the certificate will carry.
+  const ControlOption* opt = plan->analysis->BestOptionFor(plan->param_vars);
+  plan->static_bound = opt == nullptr ? -1.0 : opt->fetch_bound;
+  return Status::OK();
+}
+
+Result<ServeEvalOutcome> Shell::EvalForServe(const ServePlan& plan,
+                                             const exec::GovernorLimits& limits,
+                                             const obs::QueryId& qid,
+                                             const std::string& client_tag) {
+  // The correlation slot is process-wide; concurrent sessions interleave
+  // recorder/span stamping, but the certificate's id is set explicitly so
+  // journals stay exact.
+  obs::ScopedQueryCorrelation correlate(qid);
+  SI_ASSIGN_OR_RETURN(EvalRun run, RunPlan(plan, limits, qid, client_tag,
+                                           /*explain=*/false));
+  return SealRun(plan, qid, client_tag, run);
+}
+
+Result<Shell::EvalRun> Shell::RunPlan(const ServePlan& plan,
+                                      const exec::GovernorLimits& limits,
+                                      const obs::QueryId& qid,
+                                      const std::string& client_tag,
+                                      bool explain) {
+  if (obs::FlightRecorderEnabled()) {
+    obs::RecordFlightEvent(obs::EventKind::kPlan, plan.fingerprint,
+                           {obs::EventArg("query", plan.query_text)});
+  }
+  // Compiled path: the cache entry's plan set is thread-safe and shared
+  // across sessions. nullptr (deferred or unsupported) means interpret; a
+  // genuine compile failure additionally counts as a fallback.
+  EvalRun run;
+  if (plan.compiled != nullptr) {
+    bool compile_failed = false;
+    run.program = plan.compiled->GetOrCompilePlain(
+        plan.query, plan.analysis, plan.param_vars, &run.compile_why,
+        &compile_failed);
+    if (compile_failed) {
+      metrics_->GetCounter("exec.compiled_fallbacks").Increment();
+    }
+  }
+  run.stats.capture_ops = explain;
+  const uint64_t start_ns = obs::MonotonicNowNs();
+  Result<exec::Degraded<AnswerSet>> evaled = [&] {
+    if (run.program != nullptr) {
+      metrics_->GetCounter("exec.compiled_hits").Increment();
+      exec::CompiledEvaluator vm(db_.get());
+      vm.set_collect_timing(explain);
+      vm.set_limits(limits);
+      return vm.EvaluateDegraded(*run.program, plan.params, &run.stats);
+    }
+    BoundedEvaluator evaluator(db_.get());
+    evaluator.set_collect_timing(explain);
+    evaluator.set_limits(limits);
+    return evaluator.EvaluateDegraded(plan.query, *plan.analysis, plan.params,
+                                      &run.stats);
+  }();
+  run.elapsed_ms = static_cast<double>(obs::MonotonicNowNs() - start_ns) / 1e6;
+  if (!evaled.ok()) {
+    // A non-controllable query is workload signal, not just an error: seal a
+    // no-static-bound certificate for it so `workload` and the offline report
+    // can rank recurring classes that a view would make controllable before
+    // surfacing the original error.
+    if (evaled.status().code() == StatusCode::kFailedPrecondition &&
+        evaled.status().message().find("not controlled") !=
+            std::string::npos) {
+      metrics_->GetCounter("shell.noncontrollable_queries").Increment();
+      (void)RecordEvalOutcome(CertificateFor(plan, qid), run.elapsed_ms,
+                              /*noncontrollable=*/true,
+                              /*governor_tripped=*/false, client_tag);
+    }
+    return evaled.status();
+  }
+  run.degraded = std::move(evaled).ValueOrDie();
+  metrics_
+      ->GetHistogram("shell.eval_latency_ms", obs::DefaultLatencyBucketsMs())
+      .Observe(run.elapsed_ms);
+  metrics_->GetCounter("shell.queries").Increment();
+  metrics_->GetCounter("shell.base_tuples_fetched")
+      .Increment(run.stats.base_tuples_fetched);
+  metrics_->GetCounter("shell.index_lookups")
+      .Increment(run.stats.index_lookups);
+  for (const auto& [relation, fetched] : run.stats.fetched_by_relation) {
+    metrics_->GetCounter("shell.fetched." + relation).Increment(fetched);
+  }
+  if (!run.degraded.complete) {
+    metrics_
+        ->GetCounter(std::string("shell.governor.trips.") +
+                     exec::LimitKindName(run.degraded.trip.kind))
+        .Increment();
+  }
+  return run;
+}
+
+ServeEvalOutcome Shell::SealRun(const ServePlan& plan, const obs::QueryId& qid,
+                                const std::string& client_tag,
+                                const EvalRun& run) {
+  const BoundedEvalStats& stats = run.stats;
+  const exec::Degraded<AnswerSet>& degraded = run.degraded;
+  obs::AccessCertificate cert = CertificateFor(plan, qid);
   cert.static_bound = stats.static_bound;
   cert.actual_fetches = stats.base_tuples_fetched;
   cert.index_lookups = stats.index_lookups;
@@ -475,182 +545,24 @@ Result<std::string> Shell::RunEval(std::string_view rest, bool explain) {
   }
   cert.tripped = !degraded.complete;
   if (cert.tripped) cert.trip_reason = degraded.trip.ToString();
-  const std::string warnings =
-      RecordEvalOutcome(std::move(cert), elapsed_ms, /*noncontrollable=*/false,
-                        /*governor_tripped=*/!degraded.complete);
 
-  if (explain) {
-    std::string out =
-        obs::RenderExplainAnalyze(stats.ops, stats.base_tuples_fetched,
-                                  stats.index_lookups, stats.static_bound,
-                                  degraded.trip);
-    if (!stats.fetched_by_lane.empty()) {
-      out += "lanes:";
-      for (const auto& [lane, fetched] : stats.fetched_by_lane) {
-        out += StrFormat(" %d=%llu", lane,
-                         static_cast<unsigned long long>(fetched));
-      }
-      out += "\n";
-    }
-    if (program != nullptr) {
-      out += "compiled:\n" + program->Disassemble();
-    } else if (compile_mode_ != exec::CompiledPlanSet::Mode::kOff &&
-               !compile_why.empty()) {
-      out += "compiled: interpreted (" + compile_why + ")\n";
-    }
-    return out +
-           StrFormat("(%zu answers%s)\n", answers.size(),
-                     degraded.complete ? "" : ", partial") +
-           warnings;
-  }
-  std::string out =
-      AnswerSetToString(answers, 50) +
-      StrFormat("\n(%zu answers, %llu base tuples fetched%s)\n",
-                answers.size(),
-                static_cast<unsigned long long>(stats.base_tuples_fetched),
-                degraded.complete ? "" : ", partial");
-  if (!degraded.complete) {
-    out += "tripped: " + degraded.trip.ToString() + "\n";
-  }
-  out += warnings;
-  return out;
-}
-
-Status Shell::PrepareServe() {
-  if (db_ == nullptr) return Status::FailedPrecondition("no data loaded");
-  // Index construction is the one database mutation on the eval path; doing
-  // it here means concurrent serve evaluations only ever read.
-  return access_.BuildIndexes(db_.get(), schema_);
-}
-
-Result<ServePlan> Shell::PlanForServe(std::string_view rest) {
-  size_t sp = rest.find(' ');
-  if (sp == std::string_view::npos) {
-    return Status::InvalidArgument("usage: eval var=value,... <query>");
-  }
-  ServePlan plan;
-  SI_ASSIGN_OR_RETURN(plan.params, ParseShellBinding(rest.substr(0, sp)));
-  plan.query_text = std::string(StripWhitespace(rest.substr(sp + 1)));
-  SI_ASSIGN_OR_RETURN(plan.query, ParseFoQuery(plan.query_text, &schema_));
-  if (db_ == nullptr) return Status::FailedPrecondition("no data loaded");
-  plan.fingerprint = obs::Fingerprint(plan.query_text);
-  SI_ASSIGN_OR_RETURN(plan.analysis,
-                      analysis_cache_->GetOrAnalyze(plan.query.body,
-                                                    plan.query_text, schema_,
-                                                    access_, {},
-                                                    &plan.compiled));
-  VarSet param_vars;
-  for (const auto& [v, val] : plan.params) {
-    (void)val;
-    param_vars.insert(v);
-  }
-  // The same option the evaluator will execute, so the bound the admission
-  // decision cites is the bound the certificate will carry.
-  const ControlOption* opt = plan.analysis->BestOptionFor(param_vars);
-  plan.static_bound = opt == nullptr ? -1.0 : opt->fetch_bound;
-  return plan;
-}
-
-Result<ServeEvalOutcome> Shell::EvalForServe(const ServePlan& plan,
-                                             const exec::GovernorLimits& limits,
-                                             const obs::QueryId& qid,
-                                             const std::string& client_tag) {
-  // The correlation slot is process-wide; concurrent sessions interleave
-  // recorder/span stamping, but the certificate's id below is set explicitly
-  // so journals stay exact.
-  obs::ScopedQueryCorrelation correlate(qid);
-  if (obs::FlightRecorderEnabled()) {
-    obs::RecordFlightEvent(obs::EventKind::kPlan, plan.fingerprint,
-                           {obs::EventArg("query", plan.query_text)});
-  }
-  // Serve-side compiled path: thread-safe plan set, shared across sessions
-  // via the cache entry. Any compile failure falls back to interpretation
-  // (the sanctioned path, counted by exec.compiled_fallbacks).
-  VarSet param_vars;
-  for (const auto& [v, val] : plan.params) {
-    (void)val;
-    param_vars.insert(v);
-  }
-  std::shared_ptr<const exec::CompiledProgram> program;
-  if (plan.compiled != nullptr) {
-    std::string why;
-    bool compile_failed = false;
-    program = plan.compiled->GetOrCompilePlain(compile_mode_, plan.query,
-                                               plan.analysis, param_vars, &why,
-                                               &compile_failed);
-    if (compile_failed) {
-      metrics_->GetCounter("exec.compiled_fallbacks").Increment();
-    }
-  }
-  BoundedEvalStats stats;
-  const uint64_t start_ns = obs::MonotonicNowNs();
-  Result<exec::Degraded<AnswerSet>> evaled = [&] {
-    if (program != nullptr) {
-      metrics_->GetCounter("exec.compiled_hits").Increment();
-      exec::CompiledEvaluator vm(db_.get());
-      vm.set_limits(limits);
-      return vm.EvaluateDegraded(*program, plan.params, &stats);
-    }
-    BoundedEvaluator evaluator(db_.get());
-    evaluator.set_limits(limits);
-    return evaluator.EvaluateDegraded(plan.query, *plan.analysis, plan.params,
-                                      &stats);
-  }();
-  const double elapsed_ms =
-      static_cast<double>(obs::MonotonicNowNs() - start_ns) / 1e6;
-  if (!evaled.ok()) {
-    if (evaled.status().code() == StatusCode::kFailedPrecondition &&
-        evaled.status().message().find("not controlled") !=
-            std::string::npos) {
-      metrics_->GetCounter("shell.noncontrollable_queries").Increment();
-      obs::AccessCertificate cert;
-      cert.query_fingerprint = plan.fingerprint;
-      cert.query_id = obs::RenderQueryId(qid);
-      cert.query_text = plan.query_text;
-      (void)RecordEvalOutcome(std::move(cert), elapsed_ms,
-                              /*noncontrollable=*/true,
-                              /*governor_tripped=*/false, client_tag);
-    }
-    return evaled.status();
-  }
-  exec::Degraded<AnswerSet> degraded = std::move(evaled).ValueOrDie();
-  metrics_
-      ->GetHistogram("shell.eval_latency_ms", obs::DefaultLatencyBucketsMs())
-      .Observe(elapsed_ms);
-  metrics_->GetCounter("shell.queries").Increment();
-  metrics_->GetCounter("shell.base_tuples_fetched")
-      .Increment(stats.base_tuples_fetched);
-  metrics_->GetCounter("shell.index_lookups").Increment(stats.index_lookups);
-  for (const auto& [relation, fetched] : stats.fetched_by_relation) {
-    metrics_->GetCounter("shell.fetched." + relation).Increment(fetched);
-  }
-  if (!degraded.complete) {
-    metrics_
-        ->GetCounter(std::string("shell.governor.trips.") +
-                     exec::LimitKindName(degraded.trip.kind))
-        .Increment();
-  }
-
-  obs::AccessCertificate cert;
-  cert.query_fingerprint = plan.fingerprint;
-  cert.query_id = obs::RenderQueryId(qid);
-  cert.query_text = plan.query_text;
-  cert.static_bound = stats.static_bound;
-  cert.actual_fetches = stats.base_tuples_fetched;
-  cert.index_lookups = stats.index_lookups;
-  cert.tripped = !degraded.complete;
-  if (cert.tripped) cert.trip_reason = degraded.trip.ToString();
   ServeEvalOutcome out;
-  out.warnings = RecordEvalOutcome(std::move(cert), elapsed_ms,
+  out.warnings = RecordEvalOutcome(std::move(cert), run.elapsed_ms,
                                    /*noncontrollable=*/false,
                                    /*governor_tripped=*/!degraded.complete,
                                    client_tag);
   out.answers = degraded.value.size();
-  out.rendered = AnswerSetToString(degraded.value, 50);
   out.fetched = stats.base_tuples_fetched;
   out.static_bound = stats.static_bound;
   out.complete = degraded.complete;
   out.trip = degraded.trip;
+  out.rendered =
+      AnswerSetToString(degraded.value, 50) +
+      StrFormat("\n(%zu answers, %llu base tuples fetched%s)\n", out.answers,
+                static_cast<unsigned long long>(out.fetched),
+                out.complete ? "" : ", partial");
+  if (!out.complete) out.rendered += "tripped: " + out.trip.ToString() + "\n";
+  out.rendered += out.warnings;
   return out;
 }
 
@@ -971,27 +883,6 @@ Result<std::string> Shell::RunSlowlog(std::string_view rest) {
   gauge.Set(static_cast<int64_t>(ms));
   return StrFormat("slow-query threshold: %llu ms\n",
                    static_cast<unsigned long long>(ms));
-}
-
-Result<std::string> Shell::RunCompile(std::string_view rest) {
-  const std::string arg(StripWhitespace(rest));
-  auto render = [&] {
-    std::string out = std::string("compile mode: ") +
-                      exec::CompiledPlanSet::ModeName(compile_mode_) + "\n";
-    out += StrFormat(
-        "  hits=%llu fallbacks=%llu\n",
-        static_cast<unsigned long long>(
-            metrics_->GetCounter("exec.compiled_hits").value()),
-        static_cast<unsigned long long>(
-            metrics_->GetCounter("exec.compiled_fallbacks").value()));
-    return out;
-  };
-  if (arg.empty() || arg == "status") return render();
-  if (arg != "on" && arg != "off" && arg != "auto") {
-    return Status::InvalidArgument("usage: compile [on|off|auto|status]");
-  }
-  compile_mode_ = exec::CompiledPlanSet::ParseMode(arg);
-  return render();
 }
 
 Result<std::string> Shell::RunLimit(std::string_view rest) {

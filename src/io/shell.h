@@ -32,23 +32,29 @@ struct ServePlan {
   std::string query_text;
   std::string fingerprint;
   Binding params;
+  VarSet param_vars;  ///< the variables `params` binds
   FoQuery query;
   std::shared_ptr<const ControllabilityAnalysis> analysis;
-  /// The analysis-cache entry's compiled-plan set; EvalForServe consults it
-  /// (under the session's compile mode) and falls back to interpretation on
-  /// any compile failure. Dropped with the cache entry on DDL.
+  /// The analysis-cache entry's compiled-plan set; the evaluation consults it
+  /// and falls back to interpretation until a program exists (first
+  /// sighting) or when compilation failed. Dropped with the cache entry on
+  /// DDL.
   std::shared_ptr<exec::CompiledPlanSet> compiled;
   /// BestOptionFor(params)->fetch_bound; < 0 when the query is not
   /// controlled by the given parameters (nothing to admit against).
   double static_bound = -1.0;
 };
 
-/// What one serve-mode evaluation produced: the client-facing rendering plus
-/// the accounting the server folds into its envelope (actual fetches refund
-/// the unspent lease) and metrics.
+/// What one evaluation produced: the client-facing rendering plus the
+/// accounting the server folds into its envelope (actual fetches refund the
+/// unspent lease) and metrics.
 struct ServeEvalOutcome {
   size_t answers = 0;
-  std::string rendered;      ///< capped AnswerSetToString text
+  /// The one rendering of an answer, shared by the shell's `eval` output and
+  /// the server's `eval` response body: the answer set (capped at 50 rows),
+  /// the "(N answers, M base tuples fetched[, partial])" footer, the
+  /// `tripped:` line when the governor tripped, then `warnings`.
+  std::string rendered;
   uint64_t fetched = 0;      ///< base tuples actually read
   double static_bound = -1.0;
   bool complete = true;      ///< false: governor tripped, partial extent
@@ -73,7 +79,6 @@ struct ServeEvalOutcome {
 ///   explain qdsi <M> Q(x) :- <CQ body> | explain analyze <fo-query>
 ///   qdsi <M> Q(x) :- <CQ body>
 ///   limit [fetch=N] [deadline=MS] [rows=N] | limit off
-///   compile [on|off|auto|status]   bytecode compilation of bounded plans
 ///   threads [N]    size the morsel worker pool; reports shard-advisor
 ///                  decisions per relation (and applies them on resize)
 ///   stats [prom] | stats watch <secs> [path] | stats watch off
@@ -142,11 +147,12 @@ class Shell {
   /// observed probe traffic (`threads` reports it, eval feeds it back).
   const par::ShardAdvisor& shard_advisor() const { return shard_advisor_; }
 
-  /// Serve-mode hooks (src/serve builds on these). PrepareServe freezes the
-  /// catalog for concurrent evaluation: it builds every access-schema index
-  /// up front so no later evaluation mutates the database. PlanForServe
-  /// parses "var=value,... <query>" and derives the pre-execution admission
-  /// facts (call it serially — the server holds its admission mutex).
+  /// The evaluation path (src/serve builds on these; the shell's `eval` and
+  /// `explain` run the same steps). PrepareServe freezes the catalog for
+  /// concurrent evaluation: it builds every access-schema index up front so
+  /// no later evaluation mutates the database. PlanForServe parses
+  /// "var=value,... <query>" and derives the pre-execution admission facts
+  /// (call it serially — the server holds its admission mutex).
   /// EvalForServe runs one admitted query under the given governor envelope
   /// and is safe to call from concurrent sessions after PrepareServe: it
   /// touches only thread-safe members (metrics, workload aggregator, journal
@@ -174,11 +180,40 @@ class Shell {
   Database* EnsureDb();
   Result<std::string> ExecuteImpl(const std::string& command,
                                   std::string_view rest);
-  /// Shared body of `eval` and `explain`: bounded evaluation of a
-  /// parameterized FO query. `explain` additionally collects per-node
-  /// counters/timings and renders the EXPLAIN ANALYZE tree with the static
-  /// Theorem 4.2 bound next to the actual fetch count.
+  /// Shared body of `eval` and `explain`: the evaluation path above, plus
+  /// what only an interactive session does — mint the QueryId, build
+  /// indexes, export cache gauges, per-lane counters and shard-advisor
+  /// feedback, and the slow-query log. `explain` additionally collects
+  /// per-node counters/timings and renders the EXPLAIN ANALYZE tree with the
+  /// static Theorem 4.2 bound next to the actual fetch count.
   Result<std::string> RunEval(std::string_view rest, bool explain);
+  /// The two halves of PlanForServe: parse (no analysis-cache traffic), then
+  /// the memoized §4 analysis and the static bound for the parameter set.
+  Result<ServePlan> ParsePlan(std::string_view rest, const char* usage) const;
+  Status AnalyzePlan(ServePlan* plan);
+
+  /// One bounded run of a planned query, before its certificate is sealed.
+  struct EvalRun {
+    exec::Degraded<AnswerSet> degraded;
+    BoundedEvalStats stats;
+    /// The program that ran; null when interpreted, and then `compile_why`
+    /// says why (deferred or unsupported).
+    std::shared_ptr<const exec::CompiledProgram> program;
+    std::string compile_why;
+    double elapsed_ms = 0;
+  };
+  /// Evaluation, first half: compiled-or-interpreted dispatch under
+  /// `limits` and the per-query metrics; a "not controlled" failure seals
+  /// its no-static-bound certificate before returning the error. `explain`
+  /// collects per-operator counters and timings.
+  Result<EvalRun> RunPlan(const ServePlan& plan,
+                          const exec::GovernorLimits& limits,
+                          const obs::QueryId& qid,
+                          const std::string& client_tag, bool explain);
+  /// Evaluation, second half: seals and journals the run's certificate and
+  /// renders the outcome.
+  ServeEvalOutcome SealRun(const ServePlan& plan, const obs::QueryId& qid,
+                           const std::string& client_tag, const EvalRun& run);
   /// `qdsi` / `explain qdsi`: the §3 decision procedure; explain renders the
   /// verdict/method/work span args collected during the decision.
   Result<std::string> RunQdsi(std::string_view rest, bool explain);
@@ -187,9 +222,6 @@ class Shell {
   Result<std::string> RunAnalyze(std::string_view rest, bool explain);
   /// Parses `limit` arguments into limits_ ("off" clears them).
   Result<std::string> RunLimit(std::string_view rest);
-  /// `compile [on|off|auto|status]`: the session's bytecode-compilation mode
-  /// (also settable via SCALEIN_COMPILE). `status` reports mode + counters.
-  Result<std::string> RunCompile(std::string_view rest);
   Result<std::string> RunStats(std::string_view rest);
   Result<std::string> RunJournal() const;
   /// `certify` re-verifies the live journal; `certify <dump.json>` loads
@@ -211,11 +243,6 @@ class Shell {
   Schema schema_;
   AccessSchema access_;
   exec::GovernorLimits limits_;
-  /// Bytecode compilation of bounded plans (SCALEIN_COMPILE / `compile`):
-  /// kAuto compiles a parameter-set on its second sighting, kOn immediately,
-  /// kOff never — kOff restores the interpreter byte for byte.
-  exec::CompiledPlanSet::Mode compile_mode_ =
-      exec::CompiledPlanSet::Mode::kAuto;
   std::unique_ptr<Database> db_;
   // Behind pointers: these own mutexes/threads, and Shell must stay movable.
   std::unique_ptr<obs::MetricsRegistry> metrics_ =

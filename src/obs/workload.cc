@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/strings.h"
 
@@ -52,6 +53,13 @@ std::string RenderBuckets(const std::vector<uint64_t>& buckets,
     }
   }
   return out;
+}
+
+/// llround, saturated at 2^63 so the keying stays monotone even where
+/// llround itself would overflow (an astronomically loose bound).
+int64_t RoundPercent(double percent) {
+  if (percent >= 0x1p63) return std::numeric_limits<int64_t>::max();
+  return static_cast<int64_t>(std::llround(percent));
 }
 
 }  // namespace
@@ -114,7 +122,8 @@ void WorkloadAggregator::Observe(const AccessCertificate& cert,
         static_cast<double>(cert.actual_fetches) / cert.static_bound;
     s.slack_sum += cert.static_bound / actual;
     ++s.accuracy_count;
-    slack_percents_.push_back(100.0 * cert.static_bound / actual);
+    ++slack_percent_counts_[RoundPercent(100.0 * cert.static_bound / actual)];
+    ++slack_samples_;
   }
 }
 
@@ -221,17 +230,18 @@ std::string WorkloadAggregator::RenderFingerprint(
 }
 
 int64_t WorkloadAggregator::SlackPercentilePercent(double p) const {
-  std::vector<double> samples;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    samples = slack_percents_;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (slack_samples_ == 0) return 0;
+  const double rank =
+      std::ceil(p / 100.0 * static_cast<double>(slack_samples_));
+  uint64_t idx = rank <= 1 ? 0 : static_cast<uint64_t>(rank) - 1;
+  if (idx >= slack_samples_) idx = slack_samples_ - 1;
+  uint64_t seen = 0;
+  for (const auto& [percent, count] : slack_percent_counts_) {
+    seen += count;
+    if (idx < seen) return percent;
   }
-  if (samples.empty()) return 0;
-  std::sort(samples.begin(), samples.end());
-  const double rank = std::ceil(p / 100.0 * static_cast<double>(samples.size()));
-  size_t idx = rank <= 1 ? 0 : static_cast<size_t>(rank) - 1;
-  if (idx >= samples.size()) idx = samples.size() - 1;
-  return static_cast<int64_t>(std::llround(samples[idx]));
+  return slack_percent_counts_.rbegin()->first;
 }
 
 void WorkloadAggregator::ExportMetrics(MetricsRegistry* registry) const {
@@ -251,7 +261,8 @@ void WorkloadAggregator::ExportMetrics(MetricsRegistry* registry) const {
 void WorkloadAggregator::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   by_fingerprint_.clear();
-  slack_percents_.clear();
+  slack_percent_counts_.clear();
+  slack_samples_ = 0;
   observations_ = 0;
   noncontrollable_ = 0;
 }

@@ -114,7 +114,12 @@ class WorkloadAggregator {
  private:
   mutable std::mutex mu_;
   std::map<std::string, WorkloadFingerprintStats> by_fingerprint_;
-  std::vector<double> slack_percents_;  ///< global, in observation order
+  /// Global bound-slack percents, rounded with llround, as value -> count.
+  /// llround is monotone, so the nearest-rank percentile of the rounded
+  /// values equals the rounded nearest-rank percentile of the raw ones, and
+  /// a percentile costs one walk over distinct values instead of a sort.
+  std::map<int64_t, uint64_t> slack_percent_counts_;
+  uint64_t slack_samples_ = 0;
   uint64_t observations_ = 0;
   uint64_t noncontrollable_ = 0;
 };

@@ -68,13 +68,19 @@ void WorkerPool::Resize(size_t threads) {
   }
 }
 
-void WorkerPool::DrainJob(size_t n, const std::function<void(size_t)>& fn) {
+void WorkerPool::SetWorkerSnapshotHookForTesting(
+    std::function<void(size_t lane)> hook) {
+  std::lock_guard<std::mutex> lock(mu_);
+  snapshot_hook_ = std::move(hook);
+}
+
+void WorkerPool::DrainJob(Job& job) {
   for (;;) {
-    const size_t idx = job_next_.fetch_add(1, std::memory_order_relaxed);
-    if (idx >= n) break;
-    fn(idx);
+    const size_t idx = job.next.fetch_add(1, std::memory_order_relaxed);
+    if (idx >= job.n) break;
+    (*job.fn)(idx);
     tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-    if (job_done_.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
+    if (job.done.fetch_add(1, std::memory_order_acq_rel) + 1 == job.n) {
       // Last task: wake the submitter (it may be parked in cv_done_).
       std::lock_guard<std::mutex> lock(mu_);
       cv_done_.notify_all();
@@ -84,21 +90,22 @@ void WorkerPool::DrainJob(size_t n, const std::function<void(size_t)>& fn) {
 
 void WorkerPool::WorkerLoop(size_t lane) {
   tls_lane = static_cast<int>(lane);
-  uint64_t seen_generation = 0;
+  // Holding the last job keeps its address from being reused, so "a job
+  // other than `seen`" always means a new one.
+  std::shared_ptr<Job> seen;
   for (;;) {
-    size_t n = 0;
-    const std::function<void(size_t)>* fn = nullptr;
+    std::function<void(size_t)> hook;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_work_.wait(lock, [&] {
-        return stop_ || generation_ != seen_generation;
+        return stop_ || (job_ != nullptr && job_ != seen);
       });
       if (stop_) return;
-      seen_generation = generation_;
-      n = job_n_;
-      fn = job_fn_;
+      seen = job_;
+      hook = snapshot_hook_;
     }
-    DrainJob(n, *fn);
+    if (hook) hook(lane);
+    DrainJob(*seen);
   }
 }
 
@@ -122,23 +129,20 @@ void WorkerPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   }
 
   std::lock_guard<std::mutex> submit_lock(submit_mu_);
+  auto job = std::make_shared<Job>(n, &fn);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    job_n_ = n;
-    job_fn_ = &fn;
-    job_next_.store(0, std::memory_order_relaxed);
-    job_done_.store(0, std::memory_order_relaxed);
-    ++generation_;
+    job_ = job;
   }
   cv_work_.notify_all();
   // The submitting thread is lane 0 and participates in the drain.
   tls_lane = 0;
-  DrainJob(n, fn);
+  DrainJob(*job);
   tls_lane = -1;
   std::unique_lock<std::mutex> lock(mu_);
   cv_done_.wait(lock,
-                [&] { return job_done_.load(std::memory_order_acquire) == n; });
-  job_fn_ = nullptr;
+                [&] { return job->done.load(std::memory_order_acquire) == n; });
+  job_ = nullptr;
 }
 
 WorkerPool& WorkerPool::Global() {

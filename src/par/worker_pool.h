@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -66,25 +67,42 @@ class WorkerPool {
   /// Parses SCALEIN_THREADS; 1 when unset/garbage, clamped to [1, 64].
   static size_t EnvThreads();
 
+  /// Test seam: called on a worker lane after it has taken its reference to
+  /// a job and before it claims any index of it, so a test can hold a
+  /// worker exactly where a preempted one would sit. Set before the first
+  /// ParallelFor; never set in production.
+  void SetWorkerSnapshotHookForTesting(std::function<void(size_t lane)> hook);
+
  private:
+  /// One ParallelFor call. Every lane claims indices from the job it holds a
+  /// reference to, so a worker that wakes late can only find this job's
+  /// counters exhausted — it never claims an index of a later job, and it
+  /// never calls `fn` once the submitter has returned (`fn` runs only for a
+  /// claimed index < n, and the submitter waits for all n to finish).
+  struct Job {
+    Job(size_t n, const std::function<void(size_t)>* fn) : n(n), fn(fn) {}
+    const size_t n;
+    const std::function<void(size_t)>* const fn;
+    std::atomic<size_t> next{0};
+    std::atomic<size_t> done{0};
+  };
+
   void WorkerLoop(size_t lane);
-  /// Drains tasks of the current job generation on the calling thread.
-  void DrainJob(size_t n, const std::function<void(size_t)>& fn);
+  /// Claims and runs indices of `job` on the calling thread until none remain.
+  void DrainJob(Job& job);
 
   mutable std::mutex mu_;
-  std::condition_variable cv_work_;   ///< workers wait for a new generation
+  std::condition_variable cv_work_;   ///< workers wait for a new job
   std::condition_variable cv_done_;   ///< submitter waits for job completion
   std::mutex submit_mu_;              ///< serializes concurrent submitters
   std::vector<std::thread> workers_;
   bool stop_ = false;
 
-  // Current job. Publication (generation bump + fn/n install) happens under
-  // mu_; task claiming and completion counting are lock-free atomics.
-  uint64_t generation_ = 0;
-  size_t job_n_ = 0;
-  const std::function<void(size_t)>* job_fn_ = nullptr;
-  std::atomic<size_t> job_next_{0};
-  std::atomic<size_t> job_done_{0};
+  // The job being published, or nullptr between jobs. Publication happens
+  // under mu_; task claiming and completion counting are lock-free atomics
+  // on the Job itself.
+  std::shared_ptr<Job> job_;
+  std::function<void(size_t)> snapshot_hook_;
 
   std::atomic<uint64_t> tasks_executed_{0};
   std::atomic<uint64_t> parallel_for_calls_{0};

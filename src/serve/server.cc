@@ -535,12 +535,7 @@ Result<std::string> Server::Submit(const std::string& sid,
   }
   std::string response =
       StrFormat("q%llu ", static_cast<unsigned long long>(qid.seq)) +
-      decision.ToString() + tag_echo + "\n" + out.rendered +
-      StrFormat("\n(%zu answers, %llu base tuples fetched%s)\n", out.answers,
-                static_cast<unsigned long long>(out.fetched),
-                out.complete ? "" : ", partial");
-  if (!out.complete) response += "tripped: " + out.trip.ToString() + "\n";
-  response += out.warnings;
+      decision.ToString() + tag_echo + "\n" + out.rendered;
   t.done_ns = obs::MonotonicNowNs();
   response += EmitLifecycle(plan, qid, sid, client_tag, decision, &out, t,
                             response.size());

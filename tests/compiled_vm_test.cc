@@ -508,9 +508,18 @@ TEST(CompiledVmTest, FailpointInjectedChaseErrorsAreByteIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Plan-set lifecycle: modes, failure caching, DDL invalidation.
+// Plan-set lifecycle: deferral, failure caching, DDL invalidation.
 
-TEST(CompiledVmTest, PlanSetModesAndFailureCaching) {
+/// `name`'s value in the `stats` JSON rendering; 0 when the counter was never
+/// touched (the registry creates counters on first increment).
+uint64_t StatsCounter(const std::string& stats, const std::string& name) {
+  const std::string key = "\"" + name + "\": ";
+  const size_t at = stats.find(key);
+  if (at == std::string::npos) return 0;
+  return std::stoull(stats.substr(at + key.size()));
+}
+
+TEST(CompiledVmTest, PlanSetDefersThenCompilesAndCachesFailures) {
   Social social(40);
   FoQuery q1 = FQ(
       "Q1(p, name) := exists id. friend(p, id) and person(id, name, \"NYC\")",
@@ -521,46 +530,41 @@ TEST(CompiledVmTest, PlanSetModesAndFailureCaching) {
   std::string why;
   bool failed = false;
 
-  // kOff never compiles.
-  EXPECT_EQ(set.GetOrCompilePlain(exec::CompiledPlanSet::Mode::kOff, q1,
-                                  analysis, {V("p")}, &why, &failed),
+  // The first sighting of a parameter set defers; the second compiles.
+  EXPECT_EQ(set.GetOrCompilePlain(q1, analysis, {V("p")}, &why, &failed),
             nullptr);
   EXPECT_FALSE(failed);
+  EXPECT_NE(why.find("deferred"), std::string::npos) << why;
   EXPECT_EQ(set.compiles(), 0u);
-
-  // kAuto defers the first sighting, compiles on the second.
-  EXPECT_EQ(set.GetOrCompilePlain(exec::CompiledPlanSet::Mode::kAuto, q1,
-                                  analysis, {V("p")}, &why, &failed),
-            nullptr);
+  std::shared_ptr<const exec::CompiledProgram> program =
+      set.GetOrCompilePlain(q1, analysis, {V("p")}, &why, &failed);
+  ASSERT_NE(program, nullptr);
   EXPECT_FALSE(failed);
-  EXPECT_NE(why.find("deferred"), std::string::npos);
-  EXPECT_NE(set.GetOrCompilePlain(exec::CompiledPlanSet::Mode::kAuto, q1,
-                                  analysis, {V("p")}, &why, &failed),
-            nullptr);
+  EXPECT_TRUE(why.empty()) << why;
   EXPECT_EQ(set.compiles(), 1u);
 
   // Cached: a third call returns the same program without recompiling.
-  std::shared_ptr<const exec::CompiledProgram> again = set.GetOrCompilePlain(
-      exec::CompiledPlanSet::Mode::kOn, q1, analysis, {V("p")}, &why, &failed);
-  ASSERT_NE(again, nullptr);
+  EXPECT_EQ(set.GetOrCompilePlain(q1, analysis, {V("p")}, &why, &failed),
+            program);
   EXPECT_EQ(set.compiles(), 1u);
 
-  // A parameter set the analysis does not control is a cached failure: one
-  // rejection, then served from the failure slot, flagged for the
-  // fallback counter both times.
-  FoQuery q_uncontrolled = q1;
-  failed = false;
-  EXPECT_EQ(set.GetOrCompilePlain(exec::CompiledPlanSet::Mode::kOn,
-                                  q_uncontrolled, analysis, {V("name")}, &why,
-                                  &failed),
+  // A parameter set the analysis does not control defers like any other,
+  // then fails once and is served from the failure slot: one rejection,
+  // flagged for the fallback counter on every later sighting.
+  EXPECT_EQ(set.GetOrCompilePlain(q1, analysis, {V("name")}, &why, &failed),
+            nullptr);
+  EXPECT_FALSE(failed);
+  EXPECT_NE(why.find("deferred"), std::string::npos) << why;
+  EXPECT_EQ(set.GetOrCompilePlain(q1, analysis, {V("name")}, &why, &failed),
             nullptr);
   EXPECT_TRUE(failed);
+  const std::string reason = why;
+  EXPECT_FALSE(reason.empty());
   failed = false;
-  EXPECT_EQ(set.GetOrCompilePlain(exec::CompiledPlanSet::Mode::kOn,
-                                  q_uncontrolled, analysis, {V("name")}, &why,
-                                  &failed),
+  EXPECT_EQ(set.GetOrCompilePlain(q1, analysis, {V("name")}, &why, &failed),
             nullptr);
   EXPECT_TRUE(failed);
+  EXPECT_EQ(why, reason);
   EXPECT_EQ(set.compiles(), 1u);
 }
 
@@ -577,8 +581,9 @@ TEST(CompiledVmTest, AnalysisCacheDropsCompiledPlansOnInvalidation) {
   ASSERT_TRUE(a1.ok());
   ASSERT_NE(set1, nullptr);
   std::string why;
-  std::shared_ptr<const exec::CompiledProgram> p1 = set1->GetOrCompilePlain(
-      exec::CompiledPlanSet::Mode::kOn, q1, *a1, {V("p")}, &why);
+  EXPECT_EQ(set1->GetOrCompilePlain(q1, *a1, {V("p")}, &why), nullptr);
+  std::shared_ptr<const exec::CompiledProgram> p1 =
+      set1->GetOrCompilePlain(q1, *a1, {V("p")}, &why);
   ASSERT_NE(p1, nullptr);
   EXPECT_EQ(set1->compiles(), 1u);
 
@@ -601,18 +606,19 @@ TEST(CompiledVmTest, AnalysisCacheDropsCompiledPlansOnInvalidation) {
   ASSERT_NE(set2, nullptr);
   EXPECT_NE(set2.get(), set1.get());
   EXPECT_EQ(set2->compiles(), 0u);
-  std::shared_ptr<const exec::CompiledProgram> p2 = set2->GetOrCompilePlain(
-      exec::CompiledPlanSet::Mode::kOn, q1, *a2, {V("p")}, &why);
+  EXPECT_EQ(set2->GetOrCompilePlain(q1, *a2, {V("p")}, &why), nullptr);
+  std::shared_ptr<const exec::CompiledProgram> p2 =
+      set2->GetOrCompilePlain(q1, *a2, {V("p")}, &why);
   ASSERT_NE(p2, nullptr);
   EXPECT_NE(p2.get(), p1.get());  // recompiled against the fresh derivation
   EXPECT_EQ(set2->compiles(), 1u);
 }
 
 TEST(CompiledVmTest, ShellRecompilesAfterMidSessionDdl) {
-  // End-to-end DDL regression: `access` DDL between two compiled evals must
-  // invalidate the bytecode with the derivation. The second eval recompiles
-  // against the new bounds and still answers correctly — never executes the
-  // stale program, never errors.
+  // End-to-end DDL regression: `access` DDL between compiled evals must
+  // invalidate the bytecode with the derivation. Later evals recompile
+  // against the new bounds and still answer correctly — never execute the
+  // stale program, never error.
   Shell shell;
   auto run = [&](const std::string& line) {
     Result<std::string> out = shell.Execute(line);
@@ -623,20 +629,23 @@ TEST(CompiledVmTest, ShellRecompilesAfterMidSessionDdl) {
   run("access access e(a) N=10");
   run("row e 1,10");
   run("row e 1,11");
-  run("compile on");
-  const std::string first = run("eval x=1 Q(x, y) := e(x, y)");
-  EXPECT_NE(first.find("(2 answers"), std::string::npos) << first;
+  const char* kEval = "eval x=1 Q(x, y) := e(x, y)";
+  EXPECT_NE(run(kEval).find("(2 answers"), std::string::npos);
+  const std::string compiled = run(kEval);  // second sighting: compiled
+  EXPECT_NE(compiled.find("(2 answers"), std::string::npos) << compiled;
+  EXPECT_EQ(StatsCounter(run("stats"), "exec.compiled_hits"), 1u);
 
   // DDL mid-session: tighten the declared bound. The cached entry (and its
-  // compiled program) must be dropped.
+  // compiled program) must be dropped, so the plan set starts over.
   run("access access e(a) N=5");
-  const std::string second = run("eval x=1 Q(x, y) := e(x, y)");
-  EXPECT_NE(second.find("(2 answers"), std::string::npos) << second;
-
-  // Both evals ran compiled (mode on): two hits, no fallbacks.
-  const std::string status = run("compile status");
-  EXPECT_NE(status.find("hits=2"), std::string::npos) << status;
-  EXPECT_NE(status.find("fallbacks=0"), std::string::npos) << status;
+  EXPECT_NE(run(kEval).find("(2 answers"), std::string::npos);
+  std::string stats = run("stats");
+  EXPECT_EQ(StatsCounter(stats, "exec.compiled_hits"), 1u) << stats;
+  const std::string recompiled = run(kEval);
+  EXPECT_NE(recompiled.find("(2 answers"), std::string::npos) << recompiled;
+  stats = run("stats");
+  EXPECT_EQ(StatsCounter(stats, "exec.compiled_hits"), 2u) << stats;
+  EXPECT_EQ(StatsCounter(stats, "exec.compiled_fallbacks"), 0u) << stats;
 
   // And the EXPLAIN disassembly reflects the *new* static bound, proving
   // the program was recompiled, not served stale.
@@ -645,30 +654,33 @@ TEST(CompiledVmTest, ShellRecompilesAfterMidSessionDdl) {
   EXPECT_NE(explained.find("static_bound=5"), std::string::npos) << explained;
 }
 
-TEST(CompiledVmTest, ShellCompileOffMatchesInterpreterOutput) {
-  // SCALEIN_COMPILE=off / `compile off` must restore today's behavior: the
-  // rendered output of an eval is identical either way.
-  auto session = [&](const char* mode) {
-    Shell shell;
-    auto run = [&](const std::string& line) {
-      Result<std::string> out = shell.Execute(line);
-      SI_CHECK_MSG(out.ok(), out.status().message().c_str());
-      return *std::move(out);
-    };
-    run("schema relation e(a, b)");
-    run("access access e(a) N=10");
-    run("row e 1,10");
-    run("row e 1,11");
-    run("row e 2,20");
-    run(std::string("compile ") + mode);
-    return run("eval x=1 Q(x, y) := e(x, y)");
+TEST(CompiledVmTest, ShellInterpretedAndCompiledEvalsRenderIdentically) {
+  // The first sighting of a query runs interpreted, the second compiled;
+  // the rendered output must not tell them apart.
+  Shell shell;
+  auto run = [&](const std::string& line) {
+    Result<std::string> out = shell.Execute(line);
+    SI_CHECK_MSG(out.ok(), out.status().message().c_str());
+    return *std::move(out);
   };
-  EXPECT_EQ(session("on"), session("off"));
+  run("schema relation e(a, b)");
+  run("access access e(a) N=10");
+  run("row e 1,10");
+  run("row e 1,11");
+  run("row e 2,20");
+  const char* kEval = "eval x=1 Q(x, y) := e(x, y)";
+  const std::string interpreted = run(kEval);
+  EXPECT_EQ(StatsCounter(run("stats"), "exec.compiled_hits"), 0u);
+  const std::string compiled = run(kEval);
+  EXPECT_EQ(StatsCounter(run("stats"), "exec.compiled_hits"), 1u);
+  EXPECT_EQ(interpreted, compiled);
+  EXPECT_NE(compiled.find("(2 answers"), std::string::npos) << compiled;
 }
 
 TEST(CompiledVmTest, UnsupportedShapeFallsBackInShell) {
-  // "or" derivations are outside the compiled grammar: with compile on the
-  // eval still succeeds (interpreted) and the fallback counter advances.
+  // "or" derivations are outside the compiled grammar: once the deferral
+  // ends, compilation fails, the eval still succeeds (interpreted), and the
+  // fallback counter advances.
   Shell shell;
   auto run = [&](const std::string& line) {
     Result<std::string> out = shell.Execute(line);
@@ -681,12 +693,14 @@ TEST(CompiledVmTest, UnsupportedShapeFallsBackInShell) {
   run("access access t(a) N=5");
   run("row r 1,10");
   run("row t 1,20");
-  run("compile on");
-  const std::string out = run("eval x=1 Q(x, y) := r(x, y) or t(x, y)");
+  const char* kEval = "eval x=1 Q(x, y) := r(x, y) or t(x, y)";
+  EXPECT_NE(run(kEval).find("(2 answers"), std::string::npos);
+  EXPECT_EQ(StatsCounter(run("stats"), "exec.compiled_fallbacks"), 0u);
+  const std::string out = run(kEval);
   EXPECT_NE(out.find("(2 answers"), std::string::npos) << out;
-  const std::string status = run("compile status");
-  EXPECT_NE(status.find("hits=0"), std::string::npos) << status;
-  EXPECT_NE(status.find("fallbacks=1"), std::string::npos) << status;
+  const std::string stats = run("stats");
+  EXPECT_EQ(StatsCounter(stats, "exec.compiled_hits"), 0u) << stats;
+  EXPECT_EQ(StatsCounter(stats, "exec.compiled_fallbacks"), 1u) << stats;
 }
 
 }  // namespace

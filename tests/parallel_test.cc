@@ -7,6 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <functional>
+#include <mutex>
 #include <set>
 #include <vector>
 
@@ -105,6 +109,62 @@ TEST(WorkerPoolTest, ResizeChangesLaneCount) {
   EXPECT_EQ(n.load(), 100);
   pool.Resize(1);
   EXPECT_EQ(pool.threads(), 1u);
+}
+
+// Regression for the stale-job race: a worker that took its reference to
+// job A and was preempted before draining any of it resumes while job B
+// runs. It must neither run B's indices with A's function nor count them as
+// done; every index of B runs exactly once, by B's function. The snapshot
+// hook parks the worker at exactly that point, so the schedule is forced.
+TEST(WorkerPoolTest, StaleWorkerNeverClaimsTheNextJobsIndices) {
+  constexpr size_t kTasks = 16;
+  std::mutex mu;
+  std::condition_variable cv;
+  int snapshots = 0;
+  bool released = false;
+  auto wait_until = [&](const std::function<bool()>& pred) {
+    std::unique_lock<std::mutex> lock(mu);
+    return cv.wait_for(lock, std::chrono::seconds(30), pred);
+  };
+  std::vector<std::atomic<int>> a_runs(kTasks);
+  std::vector<std::atomic<int>> b_runs(kTasks);
+  // Outlives both jobs, so a stale call into it is counted, not undefined.
+  const std::function<void(size_t)> job_a = [&](size_t i) {
+    // Lane 0 holds job A open until the worker has taken its reference.
+    if (i == 0) {
+      EXPECT_TRUE(wait_until([&] { return snapshots >= 1; }));
+    }
+    a_runs[i].fetch_add(1);
+  };
+  const std::function<void(size_t)> job_b = [&](size_t i) {
+    if (i == 0) {
+      // The parked worker can claim nothing, so index 0 runs on lane 0:
+      // release the worker and wait until it comes back for a new job,
+      // i.e. has finished whatever it did with its reference to job A.
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        released = true;
+      }
+      cv.notify_all();
+      EXPECT_TRUE(wait_until([&] { return snapshots >= 2; }));
+    }
+    b_runs[i].fetch_add(1);
+  };
+
+  par::WorkerPool pool(2);
+  pool.SetWorkerSnapshotHookForTesting([&](size_t) {
+    std::unique_lock<std::mutex> lock(mu);
+    ++snapshots;
+    cv.notify_all();
+    if (snapshots == 1) cv.wait(lock, [&] { return released; });
+  });
+  pool.ParallelFor(kTasks, job_a);
+  pool.ParallelFor(kTasks, job_b);
+  for (size_t i = 0; i < kTasks; ++i) {
+    EXPECT_EQ(a_runs[i].load(), 1) << "job A index " << i;
+    EXPECT_EQ(b_runs[i].load(), 1) << "job B index " << i;
+  }
+  EXPECT_EQ(pool.tasks_executed(), 2 * kTasks);
 }
 
 TEST(WorkerPoolTest, SplitRangesPartitionsExactly) {

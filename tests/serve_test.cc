@@ -326,6 +326,43 @@ TEST(ServerTest, AdmitsEvaluatesAndAccountsBudget) {
   EXPECT_NE(budget.find("remaining=116"), std::string::npos) << budget;
 }
 
+// The shell's `eval` and the server's `eval` run one evaluation path: the
+// same query yields the same answer body and the same certificate facts.
+TEST(ServerTest, ShellAndServerEvalShareOneEvaluationPath) {
+  Shell shell;
+  LoadCatalog(&shell);
+  Result<std::string> from_shell = shell.Execute(kFriendEval);
+  ASSERT_TRUE(from_shell.ok()) << from_shell.status().ToString();
+  Server server(&shell, Server::Options{});
+  ASSERT_TRUE(server.Start().ok());
+  MustLine(&server, "a", "hello");
+  const std::string resp = MustLine(&server, "a", kFriendEval);
+  // The response is the admission decision line, then the answer body.
+  const size_t nl = resp.find('\n');
+  ASSERT_NE(nl, std::string::npos) << resp;
+  EXPECT_NE(resp.substr(0, nl).find("admit"), std::string::npos) << resp;
+  EXPECT_EQ(resp.substr(nl + 1), *from_shell);
+  EXPECT_NE(from_shell->find("(2 answers, 4 base tuples fetched)"),
+            std::string::npos)
+      << *from_shell;
+
+  const std::vector<obs::AccessCertificate> certs =
+      shell.journal().certificates();
+  ASSERT_EQ(certs.size(), 2u);
+  const obs::AccessCertificate& a = certs[0];
+  const obs::AccessCertificate& b = certs[1];
+  EXPECT_EQ(a.query_fingerprint, b.query_fingerprint);
+  EXPECT_EQ(a.static_bound, b.static_bound);
+  EXPECT_EQ(a.actual_fetches, b.actual_fetches);
+  EXPECT_EQ(a.index_lookups, b.index_lookups);
+  EXPECT_EQ(a.verdict, b.verdict);
+  EXPECT_EQ(a.verdict, obs::CertVerdict::kWithinBound);
+  EXPECT_NE(a.query_id, b.query_id);
+  EXPECT_TRUE(obs::VerifyCertificate(a));
+  EXPECT_TRUE(obs::VerifyCertificate(b));
+  server.Drain();
+}
+
 TEST(ServerTest, RefusalVerdictsAreJournaledAndCertifiable) {
   const std::string jpath =
       ::testing::TempDir() + "serve_refusals.jsonl";

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
+#include <vector>
 
 #include "io/shell.h"
 #include "obs/correlation.h"
@@ -70,6 +74,45 @@ constexpr const char* kFriendQuery =
 // No access statement covers `secret`, so Theorem 4.2 rejects this query as
 // non-controllable at evaluation time.
 constexpr const char* kSecretQuery = "eval a=1 S(a, b) := secret(a, b)";
+
+// The slack percentiles are kept as counts of llround-ed percents; they must
+// equal the nearest-rank percentile of the raw samples, rounded afterwards.
+TEST(WorkloadAggregatorTest, SlackPercentilesMatchBruteForceSort) {
+  std::mt19937_64 rng(20140622);
+  for (int trial = 0; trial < 20; ++trial) {
+    WorkloadAggregator agg;
+    std::vector<double> samples;
+    const int n = 1 + static_cast<int>(rng() % 400);
+    for (int i = 0; i < n; ++i) {
+      AccessCertificate cert;
+      cert.query_fingerprint = "fp" + std::to_string(rng() % 5);
+      cert.static_bound = static_cast<double>(1 + rng() % 5000) / 4.0;
+      cert.actual_fetches = rng() % 700;
+      cert.tripped = rng() % 7 == 0;  // excluded from slack
+      SealCertificate(&cert);
+      agg.Observe(cert, /*latency_ms=*/1.0, /*noncontrollable=*/false);
+      if (cert.tripped) continue;
+      const double actual = static_cast<double>(
+          cert.actual_fetches > 0 ? cert.actual_fetches : 1);
+      samples.push_back(100.0 * cert.static_bound / actual);
+    }
+    std::sort(samples.begin(), samples.end());
+    for (double p : {1.0, 25.0, 50.0, 90.0, 99.0, 99.9, 100.0}) {
+      int64_t want = 0;
+      if (!samples.empty()) {
+        const double rank =
+            std::ceil(p / 100.0 * static_cast<double>(samples.size()));
+        size_t idx = rank <= 1 ? 0 : static_cast<size_t>(rank) - 1;
+        if (idx >= samples.size()) idx = samples.size() - 1;
+        want = static_cast<int64_t>(std::llround(samples[idx]));
+      }
+      EXPECT_EQ(agg.SlackPercentilePercent(p), want)
+          << "trial " << trial << " p" << p << " n=" << samples.size();
+    }
+  }
+  WorkloadAggregator empty;
+  EXPECT_EQ(empty.SlackPercentilePercent(50), 0);
+}
 
 TEST(JournalStoreTest, RoundTripPreservesOrderAndSeals) {
   const std::string path = ::testing::TempDir() + "journal_roundtrip.jsonl";
