@@ -1,15 +1,21 @@
 // Experiment E9: register-bytecode compilation of bounded plans.
 //
-// The tentpole claim the sidecar pins down for scripts/bench_regress.py:
-// executing a compiled bounded plan (exec/vm.h) is >= 1.5x faster than
-// interpreting the §4 option tree (core/bounded_eval.h) on the repeated-
-// query hot path — while remaining *byte-identical* in every observable.
-// The gate enforces:
+// The claim the sidecar pins down for scripts/bench_regress.py: executing a
+// compiled bounded plan (exec/vm.h) beats interpreting the §4 option tree
+// (core/bounded_eval.h) on the repeated-query hot path, with byte-identical
+// answers and certificates. The gate enforces:
 //   compiled.plain_speedup    >= 1.5   (Q1/Q2 FO hot loop — the serve path)
-//   compiled.embedded_speedup >= 1.0   (Q3 chase: probe-bound, so the VM's
-//                                       win is smaller; must never regress)
-//   compiled.certs_equal      == 1     (sealed certificate payloads match)
-// Answers are cross-checked for every parameter before timing anything.
+//   compiled.embedded_speedup >= 1.0   (Q3 chase: must never be slower than
+//                                       the option-tree chase it replaced)
+//   compiled.certs_equal      == 1     (plain leg: sealed certificate
+//                                       payloads of both engines match)
+//
+// The VM is the only chase engine, so the embedded gate compares it with a
+// recorded reference instead of a live interpreter run. The plain VM time is
+// this host's speed yardstick:
+//   embedded_speedup = kChaseInterpOverPlainVm · plain_vm_ms / embedded_vm_ms
+// and the chase must fetch exactly kChaseFetched tuples, with answers equal
+// to CqEvaluator's. Timings are medians over kTrials interleaved trials.
 
 #include <algorithm>
 #include <limits>
@@ -20,6 +26,7 @@
 #include "core/bounded_eval.h"
 #include "core/controllability.h"
 #include "core/embedded_controllability.h"
+#include "eval/cq_evaluator.h"
 #include "exec/compiler.h"
 #include "exec/vm.h"
 #include "obs/journal.h"
@@ -45,6 +52,23 @@ constexpr const char* kQ3 =
     "Q3(rn, p, yy) :- friend(p, id), visit(id, rid, yy, mm, dd), "
     "person(id, pn, \"NYC\"), restr(rid, rn, \"NYC\", \"A\")";
 constexpr size_t kParams = 192;
+constexpr int kTrials = 7;
+
+// Provenance of the embedded gate's reference (recorded at commit 3fbdc38,
+// the last with the option-tree chase, RelWithDebInfo, g++ 12.2, 4-core
+// x86-64 Linux host): this file's trial loop with the Q3 leg timing
+// BoundedEvaluator's interpreter chase instead of the VM, run 5 times.
+// kChaseInterpOverPlainVm is the median over those runs of each run's
+// median per-trial (Q3 interpreter ms / Q1+Q2 plain VM ms); kChaseFetched
+// is the Q3 fetch total, identical in every run (the data is seeded).
+constexpr double kChaseInterpOverPlainVm = 6.43;
+constexpr uint64_t kChaseFetched = 597690;
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
+}
 
 /// Seals a certificate from one evaluation's stats under a fixed identity;
 /// payload equality across engines is the byte-identity check CI gates on.
@@ -102,13 +126,17 @@ int main() {
   BoundedEvaluator interp(&db);
   exec::CompiledEvaluator vm(&db);
   bool certs_equal = true;
-  double plain_interp_ms = 0.0;
-  double plain_vm_ms = 0.0;
   uint64_t plain_fetched = 0;
   double plain_bound = 0.0;
 
-  TablePrinter table({"workload", "interp ms", "vm ms", "speedup",
-                      "fetches", "certs"});
+  struct PlainLeg {
+    std::string name;
+    FoQuery q;
+    std::shared_ptr<const ControllabilityAnalysis> analysis;
+    std::shared_ptr<const exec::CompiledProgram> program;
+    uint64_t fetched = 0;
+  };
+  std::vector<PlainLeg> legs;
   for (const char* text : {kQ1, kQ2}) {
     Result<FoQuery> q = ParseFoQuery(text, &schema);
     SI_CHECK(q.ok());
@@ -123,7 +151,7 @@ int main() {
     exec::PrebuildCompiledIndexes(db, **program);
 
     // Cross-check answers + certificate payloads for every parameter first.
-    uint64_t fetched = 0;
+    PlainLeg leg{q->name, *q, analysis, *program, 0};
     for (const Binding& b : params) {
       BoundedEvalStats is, vs;
       is.capture_ops = true;
@@ -133,24 +161,13 @@ int main() {
       SI_CHECK(ia.ok() && va.ok());
       SI_CHECK(*ia == *va);
       certs_equal &= SealedPayload(text, is) == SealedPayload(text, vs);
-      fetched += is.base_tuples_fetched;
+      leg.fetched += is.base_tuples_fetched;
     }
-
-    const double interp_ms = MeasureMs([&] {
-      for (const Binding& b : params) (void)interp.Evaluate(*q, *analysis, b);
-    });
-    const double vm_ms = MeasureMs([&] {
-      for (const Binding& b : params) (void)vm.Evaluate(**program, b);
-    });
-    plain_interp_ms += interp_ms;
-    plain_vm_ms += vm_ms;
-    plain_fetched += fetched;
+    plain_fetched += leg.fetched;
     Result<double> bound = analysis->StaticFetchBound({p});
     SI_CHECK(bound.ok());
     plain_bound += *bound * static_cast<double>(kParams);
-    table.AddRow({q->name, FormatDouble(interp_ms, 3), FormatDouble(vm_ms, 3),
-                  FormatDouble(interp_ms / vm_ms, 2) + "x",
-                  FormatCount(fetched), certs_equal ? "equal" : "DIFFER"});
+    legs.push_back(std::move(leg));
   }
 
   // ---- Embedded path: the Q3 Proposition 4.5 chase. ----
@@ -189,48 +206,85 @@ int main() {
          {yy, Value::Int(static_cast<int64_t>(dated.first_year))}});
   }
 
-  BoundedEvaluator einterp(&dated_db);
   exec::CompiledEvaluator evm(&dated_db);
+  CqEvaluator reference(&dated_db);
   uint64_t embedded_fetched = 0;
   for (const Binding& b : eparams) {
-    BoundedEvalStats is, vs;
-    is.capture_ops = true;
-    vs.capture_ops = true;
-    Result<AnswerSet> ia = einterp.EvaluateEmbedded(*eanalysis, b, &is);
+    BoundedEvalStats vs;
     Result<AnswerSet> va = evm.EvaluateEmbedded(**eprogram, b, &vs);
-    SI_CHECK(ia.ok() && va.ok());
-    SI_CHECK(*ia == *va);
-    certs_equal &= SealedPayload(kQ3, is) == SealedPayload(kQ3, vs);
-    embedded_fetched += is.base_tuples_fetched;
+    SI_CHECK(va.ok());
+    SI_CHECK(*va == reference.Evaluate(*q3, b));
+    embedded_fetched += vs.base_tuples_fetched;
   }
-  const double embedded_interp_ms = MeasureMs([&] {
-    for (const Binding& b : eparams) {
-      (void)einterp.EvaluateEmbedded(*eanalysis, b);
+  SI_CHECK_MSG(embedded_fetched == kChaseFetched,
+               "Q3 chase fetch total differs from the recorded reference");
+
+  // ---- Interleaved timing trials. ----
+  std::vector<double> plain_interp_ms(kTrials), plain_vm_ms(kTrials),
+      embedded_vm_ms(kTrials), plain_ratio(kTrials), chase_ratio(kTrials);
+  std::vector<std::vector<double>> leg_interp_ms(legs.size()),
+      leg_vm_ms(legs.size());
+  for (int t = 0; t < kTrials; ++t) {
+    for (size_t li = 0; li < legs.size(); ++li) {
+      const PlainLeg& leg = legs[li];
+      const double im = MeasureMs([&] {
+        for (const Binding& b : params) {
+          (void)interp.Evaluate(leg.q, *leg.analysis, b);
+        }
+      });
+      const double vmm = MeasureMs([&] {
+        for (const Binding& b : params) (void)vm.Evaluate(*leg.program, b);
+      });
+      leg_interp_ms[li].push_back(im);
+      leg_vm_ms[li].push_back(vmm);
+      plain_interp_ms[t] += im;
+      plain_vm_ms[t] += vmm;
     }
-  });
-  const double embedded_vm_ms = MeasureMs([&] {
-    for (const Binding& b : eparams) (void)evm.EvaluateEmbedded(**eprogram, b);
-  });
-  table.AddRow({"Q3 (embedded)", FormatDouble(embedded_interp_ms, 3),
-                FormatDouble(embedded_vm_ms, 3),
-                FormatDouble(embedded_interp_ms / embedded_vm_ms, 2) + "x",
-                FormatCount(embedded_fetched),
-                certs_equal ? "equal" : "DIFFER"});
+    embedded_vm_ms[t] = MeasureMs([&] {
+      for (const Binding& b : eparams) {
+        (void)evm.EvaluateEmbedded(**eprogram, b);
+      }
+    });
+    plain_ratio[t] = plain_interp_ms[t] / plain_vm_ms[t];
+    chase_ratio[t] = embedded_vm_ms[t] / plain_vm_ms[t];
+  }
+
+  TablePrinter table({"workload", "interp ms", "vm ms", "speedup",
+                      "fetches", "certs"});
+  for (size_t li = 0; li < legs.size(); ++li) {
+    const double im = Median(leg_interp_ms[li]);
+    const double vmm = Median(leg_vm_ms[li]);
+    table.AddRow({legs[li].name, FormatDouble(im, 3), FormatDouble(vmm, 3),
+                  FormatDouble(im / vmm, 2) + "x",
+                  FormatCount(legs[li].fetched),
+                  certs_equal ? "equal" : "DIFFER"});
+  }
+  const double plain_speedup = Median(plain_ratio);
+  const double embedded_speedup = kChaseInterpOverPlainVm / Median(chase_ratio);
+  const double embedded_interp_est_ms =
+      kChaseInterpOverPlainVm * Median(plain_vm_ms);
+  table.AddRow({"Q3 (embedded)", FormatDouble(embedded_interp_est_ms, 3) + "*",
+                FormatDouble(Median(embedded_vm_ms), 3),
+                FormatDouble(embedded_speedup, 2) + "x",
+                FormatCount(embedded_fetched), "n/a"});
   table.Print();
-
-  const double plain_speedup = plain_interp_ms / plain_vm_ms;
-  const double embedded_speedup = embedded_interp_ms / embedded_vm_ms;
-  std::printf("\nplain speedup %.2fx, embedded speedup %.2fx, certs %s\n",
+  std::printf(
+      "* recorded interpreter/plain-VM ratio %.3f x this run's plain VM ms\n",
+      kChaseInterpOverPlainVm);
+  std::printf("\nplain speedup %.2fx, embedded speedup %.2fx, certs %s "
+              "(medians of %d trials)\n",
               plain_speedup, embedded_speedup,
-              certs_equal ? "equal" : "DIFFER");
+              certs_equal ? "equal" : "DIFFER", kTrials);
 
-  report.Add("compiled.plain_interp_ms", plain_interp_ms);
-  report.Add("compiled.plain_vm_ms", plain_vm_ms);
+  report.Add("compiled.trials", static_cast<uint64_t>(kTrials));
+  report.Add("compiled.plain_interp_ms", Median(plain_interp_ms));
+  report.Add("compiled.plain_vm_ms", Median(plain_vm_ms));
   report.Add("compiled.plain_speedup", plain_speedup);
   report.Add("compiled.plain.base_tuples_fetched", plain_fetched);
   report.Add("compiled.plain.static_bound", plain_bound);
-  report.Add("compiled.embedded_interp_ms", embedded_interp_ms);
-  report.Add("compiled.embedded_vm_ms", embedded_vm_ms);
+  report.Add("compiled.embedded_vm_ms", Median(embedded_vm_ms));
+  report.Add("compiled.embedded_vm_over_plain_vm", Median(chase_ratio));
+  report.Add("compiled.embedded_reference_ratio", kChaseInterpOverPlainVm);
   report.Add("compiled.embedded_speedup", embedded_speedup);
   report.Add("compiled.embedded.base_tuples_fetched", embedded_fetched);
   report.Add("compiled.certs_equal",

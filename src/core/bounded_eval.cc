@@ -1,17 +1,16 @@
 #include "core/bounded_eval.h"
 
 #include <algorithm>
-#include <deque>
 #include <iterator>
 #include <optional>
 #include <unordered_map>
 
-#include "core/approx.h"
+#include "exec/compiler.h"
 #include "exec/governed_parallel.h"
+#include "exec/vm.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
 #include "par/worker_pool.h"
-#include "util/failpoint.h"
 
 namespace scalein {
 namespace {
@@ -55,28 +54,6 @@ void PrebuildPlainIndexes(const Database& db, const NodeAnalysis& node,
   } else if (opt.rule == "forall") {
     PrebuildPlainIndexes(db, *node.subs[0], *opt.child_options[0]);
     PrebuildPlainIndexes(db, *node.subs[1], *opt.child_options[1]);
-  }
-}
-
-/// Embedded counterpart: projection indexes for every chase step plus the
-/// verification index per atom plan.
-void PrebuildEmbeddedIndexes(const Database& db,
-                             const EmbeddedCqAnalysis& analysis) {
-  if (!analysis.IsScaleIndependent()) return;
-  const Cq& q = analysis.query();
-  for (const AtomPlan& ap : analysis.plan().atom_plans) {
-    const Relation* rel = db.FindRelation(q.atoms()[ap.atom_index].relation);
-    if (rel == nullptr) continue;
-    for (const AtomChaseStep& step : ap.steps) {
-      rel->EnsureProjectionIndex(step.key_positions, step.value_positions);
-    }
-    if (ap.needs_verification) {
-      if (rel->num_shards() > 1) {
-        rel->EnsureShardedIndex(ap.verify_key_positions);
-      } else {
-        rel->EnsureIndex(ap.verify_key_positions);
-      }
-    }
   }
 }
 
@@ -643,329 +620,6 @@ std::vector<Result<AnswerSet>> BoundedEvaluator::EvaluateBatch(
   return out;
 }
 
-std::vector<Result<AnswerSet>> BoundedEvaluator::EvaluateEmbeddedBatch(
-    const EmbeddedCqAnalysis& analysis, const std::vector<Binding>& batch,
-    BoundedEvalStats* stats) const {
-  PrebuildEmbeddedIndexes(*db_, analysis);
-
-  std::vector<std::optional<Result<AnswerSet>>> slots(batch.size());
-  std::vector<BoundedEvalStats> worker_stats(batch.size());
-  const bool capture_ops = stats != nullptr && stats->capture_ops;
-  par::WorkerPool::Global().ParallelFor(batch.size(), [&](size_t i) {
-    worker_stats[i].capture_ops = capture_ops;
-    slots[i].emplace(EvaluateEmbedded(analysis, batch[i], &worker_stats[i]));
-  });
-
-  std::vector<Result<AnswerSet>> out;
-  out.reserve(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (stats != nullptr) stats->Merge(worker_stats[i]);
-    out.push_back(std::move(*slots[i]));
-  }
-  return out;
-}
-
-Result<AnswerSet> BoundedEvaluator::EvaluateEmbedded(
-    const EmbeddedCqAnalysis& analysis, const Binding& params,
-    BoundedEvalStats* stats) const {
-  exec::ExecContext ctx(db_);
-  ctx.set_limits(limits_);  // per-evaluation resource envelope
-  ctx.set_timing_enabled(collect_timing_);
-  obs::ScopedSpan span(ctx.tracer(), "bounded.evaluate_embedded", "core");
-  if (span.enabled() && par::CurrentLane() >= 0) {
-    span.Arg("worker", static_cast<uint64_t>(par::CurrentLane()));
-  }
-  const bool capture_ops =
-      collect_timing_ || (stats != nullptr && stats->capture_ops);
-  Result<AnswerSet> result =
-      EvaluateEmbeddedImpl(analysis, params, &ctx, capture_ops);
-  if (span.enabled()) span.Arg("fetched", ctx.base_tuples_fetched());
-  if (stats != nullptr) {
-    if (analysis.IsScaleIndependent()) {
-      stats->static_bound = analysis.plan().fetch_bound;
-    }
-    stats->Accumulate(ctx);
-  }
-  if (obs::FlightRecorderEnabled()) {
-    obs::RecordFlightEvent(
-        obs::EventKind::kQueryFinish, "bounded.evaluate_embedded",
-        {obs::EventArg("fetched", ctx.base_tuples_fetched()),
-         obs::EventArg("ok", result.ok())});
-  }
-  return result;
-}
-
-Result<AnswerSet> BoundedEvaluator::EvaluateEmbeddedImpl(
-    const EmbeddedCqAnalysis& analysis, const Binding& params,
-    exec::ExecContext* ctx, bool capture_ops) const {
-  if (!analysis.IsScaleIndependent()) {
-    return Status::FailedPrecondition(
-        "query has no embedded-controllability plan");
-  }
-  for (const Variable& v : analysis.params()) {
-    if (!params.count(v)) {
-      return Status::InvalidArgument("missing value for parameter '" +
-                                     v.name() + "'");
-    }
-  }
-  const Cq& q = analysis.query();
-  const EmbeddedPlan& plan = analysis.plan();
-
-  // Optional EXPLAIN ANALYZE forest: a root for the whole chase plus one
-  // child per atom plan, each carrying its per-invocation static bound.
-  exec::OpCounters* root_op = nullptr;
-  std::vector<exec::OpCounters*> atom_ops;
-  if (capture_ops) {
-    root_op = ctx->NewOp("embedded-cq");
-    root_op->static_bound = plan.fetch_bound;
-    atom_ops.reserve(plan.atom_plans.size());
-    for (const AtomPlan& ap : plan.atom_plans) {
-      exec::OpCounters* op = ctx->NewOp(
-          "chase(" + q.atoms()[ap.atom_index].relation + ")", root_op->id);
-      op->static_bound = ap.fetch_bound;
-      atom_ops.push_back(op);
-    }
-  }
-
-  using Partial = std::vector<std::optional<Value>>;
-  std::vector<Binding> assignments = {params};
-
-  for (size_t ai = 0; ai < plan.atom_plans.size(); ++ai) {
-    const AtomPlan& ap = plan.atom_plans[ai];
-    exec::OpCounters* op = capture_ops ? atom_ops[ai] : nullptr;
-#if SCALEIN_OBS_ENABLE_TIMING
-    const bool timed = op != nullptr && ctx->timing_enabled();
-    const uint64_t atom_start = timed ? obs::MonotonicNowNs() : 0;
-#endif
-    const CqAtom& atom = q.atoms()[ap.atom_index];
-    // One chase step of the Proposition 4.5 plan: extend every frontier
-    // assignment through this atom's access statements.
-    if (Status s = SCALEIN_FAILPOINT("chase_step"); !s.ok()) return s;
-    obs::ScopedSpan chase_span(ctx->tracer(), "bounded.chase_step", "core");
-    if (chase_span.enabled()) {
-      chase_span.Arg("relation", atom.relation);
-      chase_span.Arg("step", static_cast<uint64_t>(ai));
-      chase_span.Arg("frontier", static_cast<uint64_t>(assignments.size()));
-    }
-    if (obs::FlightRecorderEnabled()) {
-      obs::RecordFlightEvent(
-          obs::EventKind::kChaseStep, atom.relation,
-          {obs::EventArg("step", static_cast<uint64_t>(ai)),
-           obs::EventArg("frontier", static_cast<uint64_t>(assignments.size()))});
-    }
-    const Relation* rel = db_->FindRelation(atom.relation);
-
-    // Prebuild this atom's indexes (Ensure* is const-but-mutating on first
-    // use) so the morsel fan-out below only ever reads, and compute the
-    // canonical verification key layout without forcing an unrelated index.
-    std::vector<size_t> verify_positions;
-    if (rel != nullptr) {
-      for (const AtomChaseStep& step : ap.steps) {
-        rel->EnsureProjectionIndex(step.key_positions, step.value_positions);
-      }
-      if (ap.needs_verification) {
-        verify_positions =
-            Relation::CanonicalPositions(ap.verify_key_positions);
-        if (rel->num_shards() > 1) {
-          rel->EnsureShardedIndex(verify_positions);
-        } else {
-          rel->EnsureIndex(verify_positions);
-        }
-      }
-    }
-
-    // One frontier assignment through this atom's chase — the body of the
-    // former sequential loop, parameterized on the charging context and
-    // output sink so it can run as a morsel on any lane.
-    auto process_assignment = [&](const Binding& assignment,
-                                  exec::ExecContext* actx,
-                                  exec::OpCounters* aop,
-                                  std::vector<Binding>* out) -> Status {
-      // Seed partial tuple from constants and bound variables.
-      Partial seed(atom.args.size());
-      for (size_t p = 0; p < atom.args.size(); ++p) {
-        const Term& t = atom.args[p];
-        if (t.is_const()) {
-          seed[p] = t.constant();
-        } else {
-          auto it = assignment.find(t.var());
-          if (it != assignment.end()) seed[p] = it->second;
-        }
-      }
-      std::vector<Partial> candidates = {seed};
-      for (const AtomChaseStep& step : ap.steps) {
-        const ProjectionIndex& index = rel->EnsureProjectionIndex(
-            step.key_positions, step.value_positions);
-        // The relation canonicalizes (sorts) positions; recover the layouts.
-        std::vector<size_t> key_layout = index.key_positions();
-        std::vector<size_t> value_layout = index.value_positions();
-        std::vector<Partial> extended;
-        for (const Partial& cand : candidates) {
-          Tuple key;
-          key.reserve(key_layout.size());
-          for (size_t p : key_layout) {
-            SI_CHECK(cand[p].has_value());
-            key.push_back(*cand[p]);
-          }
-          std::vector<Tuple> projections = exec::MeteredProjectionLookup(
-              actx, atom.relation, *rel, step.key_positions,
-              step.value_positions, key, aop);
-          SI_RETURN_IF_ERROR(actx->status());
-          if (enforce_bounds_ &&
-              projections.size() > step.statement->max_tuples) {
-            return Status::ResourceExhausted(
-                "embedded access exceeds declared N of " +
-                step.statement->ToString());
-          }
-          for (const Tuple& proj : projections) {
-            Partial ext = cand;
-            bool ok = true;
-            for (size_t i = 0; i < value_layout.size() && ok; ++i) {
-              size_t p = value_layout[i];
-              if (ext[p].has_value()) {
-                ok = *ext[p] == proj[i];
-              } else {
-                ext[p] = proj[i];
-              }
-            }
-            if (ok) extended.push_back(std::move(ext));
-          }
-        }
-        candidates = std::move(extended);
-      }
-      // All positions are now bound; verify if required, then unify.
-      for (const Partial& cand : candidates) {
-        Tuple row;
-        row.reserve(cand.size());
-        for (const auto& v : cand) {
-          SI_CHECK(v.has_value());
-          row.push_back(*v);
-        }
-        if (ap.needs_verification) {
-          Tuple vkey = ProjectTuple(row, verify_positions);
-          const std::vector<uint32_t>* rows = exec::MeteredIndexLookup(
-              actx, atom.relation, *rel, verify_positions, vkey, aop);
-          SI_RETURN_IF_ERROR(actx->status());
-          bool found = false;
-          if (rows != nullptr) {
-            if (enforce_bounds_ &&
-                rows->size() > ap.verify_statement->max_tuples) {
-              return Status::ResourceExhausted(
-                  "verification access exceeds declared N of " +
-                  ap.verify_statement->ToString());
-            }
-            for (uint32_t r : *rows) {
-              if (TupleEquals(rel->TupleAt(r), row)) {
-                found = true;
-                break;
-              }
-            }
-          }
-          if (!found) continue;
-        }
-        // Extend the assignment with the atom's variables.
-        Binding extended = assignment;
-        bool ok = true;
-        for (size_t p = 0; p < atom.args.size() && ok; ++p) {
-          const Term& t = atom.args[p];
-          if (t.is_const()) continue;
-          auto it = extended.find(t.var());
-          if (it != extended.end()) {
-            ok = it->second == row[p];
-          } else {
-            extended.emplace(t.var(), row[p]);
-          }
-        }
-        if (ok) out->push_back(std::move(extended));
-      }
-      return Status::OK();
-    };
-
-    std::vector<Binding> next_assignments;
-    par::WorkerPool& pool = par::WorkerPool::Global();
-    const bool fan_out = rel != nullptr && pool.threads() > 1 &&
-                         assignments.size() >= kParallelFrontierThreshold &&
-                         ctx->ok();
-    if (rel == nullptr) {
-      // Unknown relation: the frontier dies here, matching a lookup miss.
-    } else if (!fan_out) {
-      for (const Binding& assignment : assignments) {
-        SI_RETURN_IF_ERROR(
-            process_assignment(assignment, ctx, op, &next_assignments));
-      }
-    } else {
-      // Governed morsel fan-out over the frontier (the sub-budget lease /
-      // charge-log replay protocol, exec/governed_parallel.h): worker lanes
-      // charge private logs against per-lane leases and the parent replays
-      // them in morsel order through its own armed governor, so answers,
-      // accounting, and trip verdicts are byte-identical to the sequential
-      // walk at any thread count — armed or not.
-      const std::vector<std::pair<size_t, size_t>> ranges =
-          par::SplitRanges(assignments.size(), pool.threads() * 4);
-      std::vector<std::vector<Binding>> worker_out(ranges.size());
-      Status frontier_error = Status::OK();
-      (void)exec::GovernedParallelMorsels(
-          ctx, ranges.size(),
-          [&](size_t ri, exec::ExecContext* wctx) {
-            for (size_t i = ranges[ri].first; i < ranges[ri].second; ++i) {
-              Status s = process_assignment(assignments[i], wctx, op,
-                                            &worker_out[ri]);
-              if (!s.ok()) {
-                wctx->SetError(std::move(s));
-                break;
-              }
-              if (!wctx->ok()) break;
-            }
-          },
-          [&](size_t ri) {
-            for (size_t i = ranges[ri].first; i < ranges[ri].second; ++i) {
-              if (!ctx->ok() || !frontier_error.ok()) break;
-              frontier_error = process_assignment(assignments[i], ctx, op,
-                                                  &next_assignments);
-            }
-          },
-          [&](size_t ri) {
-            next_assignments.insert(
-                next_assignments.end(),
-                std::make_move_iterator(worker_out[ri].begin()),
-                std::make_move_iterator(worker_out[ri].end()));
-          });
-      SI_RETURN_IF_ERROR(frontier_error);
-      SI_RETURN_IF_ERROR(ctx->status());
-    }
-    if (op != nullptr) {
-      op->rows_out += next_assignments.size();
-#if SCALEIN_OBS_ENABLE_TIMING
-      if (timed) {
-        op->next_ns += obs::MonotonicNowNs() - atom_start;
-        ++op->next_calls;
-      }
-#endif
-    }
-    assignments = std::move(next_assignments);
-  }
-
-  // Project to the open head positions; distinct answers charge the
-  // output-row cap.
-  AnswerSet answers;
-  for (const Binding& assignment : assignments) {
-    Tuple t;
-    for (const Term& h : q.head()) {
-      if (h.is_const()) continue;
-      if (analysis.params().count(h.var())) continue;
-      t.push_back(assignment.at(h.var()));
-    }
-    auto [pos, inserted] = answers.insert(std::move(t));
-    if (inserted && !ctx->ChargeOutput(1, root_op)) {
-      answers.erase(pos);
-      break;
-    }
-  }
-  SI_RETURN_IF_ERROR(ctx->status());
-  if (root_op != nullptr) root_op->rows_out += answers.size();
-  return answers;
-}
-
 Result<exec::Degraded<AnswerSet>> BoundedEvaluator::EvaluateDegraded(
     const FoQuery& q, const ControllabilityAnalysis& analysis,
     const Binding& params, BoundedEvalStats* stats) const {
@@ -1050,78 +704,57 @@ Result<exec::Degraded<AnswerSet>> BoundedEvaluator::EvaluateDegraded(
   return out;
 }
 
+namespace {
+
+/// Lowers `analysis` for one call; the program borrows the caller's
+/// analysis through a non-owning shared_ptr, so it must not outlive the call.
+Result<std::shared_ptr<const exec::CompiledProgram>> CompileChase(
+    const EmbeddedCqAnalysis& analysis) {
+  return exec::CompileEmbedded(std::shared_ptr<const EmbeddedCqAnalysis>(
+      std::shared_ptr<const EmbeddedCqAnalysis>(), &analysis));
+}
+
+/// The VM that runs the chase, with the evaluator's enforce/limits/timing.
+exec::CompiledEvaluator ChaseVm(Database* db, bool enforce,
+                                const exec::GovernorLimits& limits,
+                                bool collect_timing) {
+  exec::CompiledEvaluator vm(db);
+  vm.set_enforce_bounds(enforce);
+  vm.set_limits(limits);
+  vm.set_collect_timing(collect_timing);
+  return vm;
+}
+
+}  // namespace
+
+std::vector<Result<AnswerSet>> BoundedEvaluator::EvaluateEmbeddedBatch(
+    const EmbeddedCqAnalysis& analysis, const std::vector<Binding>& batch,
+    BoundedEvalStats* stats) const {
+  Result<std::shared_ptr<const exec::CompiledProgram>> program =
+      CompileChase(analysis);
+  if (!program.ok()) {
+    return std::vector<Result<AnswerSet>>(batch.size(), program.status());
+  }
+  return ChaseVm(db_, enforce_bounds_, limits_, collect_timing_)
+      .EvaluateEmbeddedBatch(**program, batch, stats);
+}
+
+Result<AnswerSet> BoundedEvaluator::EvaluateEmbedded(
+    const EmbeddedCqAnalysis& analysis, const Binding& params,
+    BoundedEvalStats* stats) const {
+  SI_ASSIGN_OR_RETURN(std::shared_ptr<const exec::CompiledProgram> program,
+                      CompileChase(analysis));
+  return ChaseVm(db_, enforce_bounds_, limits_, collect_timing_)
+      .EvaluateEmbedded(*program, params, stats);
+}
+
 Result<exec::Degraded<AnswerSet>> BoundedEvaluator::EvaluateEmbeddedDegraded(
     const EmbeddedCqAnalysis& analysis, const Binding& params,
     BoundedEvalStats* stats, bool fallback_to_approx) const {
-  exec::ExecContext ctx(db_);
-  ctx.set_limits(limits_);
-  ctx.set_timing_enabled(collect_timing_);
-  obs::ScopedSpan span(ctx.tracer(), "bounded.evaluate_embedded_degraded",
-                       "core");
-  if (obs::FlightRecorderEnabled()) {
-    obs::RecordFlightEvent(obs::EventKind::kQueryStart,
-                           "bounded.evaluate_embedded_degraded");
-  }
-  // Capture ops unconditionally so a trip names the chase step it hit.
-  Result<AnswerSet> result =
-      EvaluateEmbeddedImpl(analysis, params, &ctx, /*capture_ops=*/true);
-  if (span.enabled()) {
-    span.Arg("fetched", ctx.base_tuples_fetched());
-    span.Arg("tripped", ctx.trip().tripped());
-  }
-  if (stats != nullptr) {
-    if (analysis.IsScaleIndependent()) {
-      stats->static_bound = analysis.plan().fetch_bound;
-    }
-    stats->Accumulate(ctx);
-  }
-  if (obs::FlightRecorderEnabled()) {
-    obs::RecordFlightEvent(
-        obs::EventKind::kQueryFinish, "bounded.evaluate_embedded_degraded",
-        {obs::EventArg("fetched", ctx.base_tuples_fetched()),
-         obs::EventArg("tripped", ctx.trip().tripped())});
-  }
-
-  exec::Degraded<AnswerSet> out;
-  out.base_tuples_fetched = ctx.base_tuples_fetched();
-  out.index_lookups = ctx.index_lookups();
-  if (result.ok() && ctx.ok()) {
-    out.value = std::move(result).ValueOrDie();
-    return out;
-  }
-  if (!ctx.trip().tripped()) {
-    // Genuine failure (failpoint, bound violation, bad arguments).
-    return result.ok() ? ctx.status() : result.status();
-  }
-  out.complete = false;
-  out.trip = ctx.trip();
-  out.ops = ctx.SnapshotOps();
-  if (fallback_to_approx && limits_.fetch_budget > 0 &&
-      analysis.IsScaleIndependent()) {
-    // PIQL-style success tolerance: re-answer the (parameter-substituted)
-    // CQ with the greedy budgeted engine under the same budget M. Every
-    // answer it reports is a genuine answer of Q(D); project its full-head
-    // tuples onto the embedded answer shape (open head variables only).
-    const Cq& q = analysis.query();
-    std::map<Variable, Term> subst;
-    for (const auto& [v, val] : params) subst.emplace(v, Term::Const(val));
-    ApproxResult approx =
-        ApproximateCqAnswers(q.Substitute(subst), *db_, limits_.fetch_budget);
-    std::vector<size_t> keep;
-    for (size_t i = 0; i < q.head().size(); ++i) {
-      const Term& h = q.head()[i];
-      if (h.is_const() || analysis.params().count(h.var())) continue;
-      keep.push_back(i);
-    }
-    for (const Tuple& full : approx.answers) {
-      Tuple t;
-      t.reserve(keep.size());
-      for (size_t i : keep) t.push_back(full[i]);
-      out.value.insert(std::move(t));
-    }
-    out.fallback = "approx";
-  }
-  return out;
+  SI_ASSIGN_OR_RETURN(std::shared_ptr<const exec::CompiledProgram> program,
+                      CompileChase(analysis));
+  return ChaseVm(db_, enforce_bounds_, limits_, collect_timing_)
+      .EvaluateEmbeddedDegraded(*program, params, stats, fallback_to_approx);
 }
 
 }  // namespace scalein

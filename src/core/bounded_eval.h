@@ -165,17 +165,18 @@ class BoundedEvaluator {
   /// `params` must bind exactly the variables the analysis was built with.
   /// Answers range over head positions whose term is an unbound variable.
   ///
-  /// When the global worker pool has more than one lane and a chase step's
-  /// frontier is large enough, the per-frontier loop inside one evaluation
-  /// runs as governed parallel morsels — armed or not. Worker lanes charge
-  /// private logs against per-lane sub-budget leases and the parent replays
-  /// them in morsel order (exec/governed_parallel.h), so answers, fetch
-  /// accounting, and trip verdicts are byte-identical at any thread count.
+  /// The chase has one engine, the bytecode VM: each call lowers the plan
+  /// with exec::CompileEmbedded and runs it on an exec::CompiledEvaluator
+  /// carrying this evaluator's enforce/limits/timing settings. Wide chase
+  /// frontiers fan out as governed parallel morsels whose lane-ordered
+  /// replay (exec/governed_parallel.h) keeps answers, fetch accounting, and
+  /// trip verdicts byte-identical at any thread count.
   Result<AnswerSet> EvaluateEmbedded(const EmbeddedCqAnalysis& analysis,
                                      const Binding& params,
                                      BoundedEvalStats* stats = nullptr) const;
 
-  /// Batch counterpart of EvaluateEmbedded; same contract as EvaluateBatch.
+  /// Batch counterpart of EvaluateEmbedded (one compile for the whole
+  /// batch); same contract as EvaluateBatch.
   std::vector<Result<AnswerSet>> EvaluateEmbeddedBatch(
       const EmbeddedCqAnalysis& analysis, const std::vector<Binding>& batch,
       BoundedEvalStats* stats = nullptr) const;
@@ -190,11 +191,6 @@ class BoundedEvaluator {
       BoundedEvalStats* stats = nullptr, bool fallback_to_approx = false) const;
 
  private:
-  Result<AnswerSet> EvaluateEmbeddedImpl(const EmbeddedCqAnalysis& analysis,
-                                         const Binding& params,
-                                         exec::ExecContext* ctx,
-                                         bool capture_ops) const;
-
   Database* db_;
   bool enforce_bounds_ = false;
   exec::GovernorLimits limits_;

@@ -171,8 +171,14 @@ std::string CompiledProgram::Disassemble() const {
     text += ")";
     line(text);
     for (const ChaseStepCode& step : atom.steps) {
+      std::vector<size_t> checked;
+      for (size_t i = 0; i < step.value_layout.size(); ++i) {
+        if (step.value_check[i]) checked.push_back(step.value_layout[i]);
+      }
       out += "        . STEP key" + PositionsText(step.key_layout) + " val" +
-             PositionsText(step.value_layout) + " CHARGE\n";
+             PositionsText(step.value_layout) +
+             (checked.empty() ? "" : " check" + PositionsText(checked)) +
+             " CHARGE\n";
     }
     if (atom.needs_verification) {
       out += "        . VERIFY key" + PositionsText(atom.verify_positions) +

@@ -122,6 +122,10 @@ struct ChaseStepCode {
   std::vector<size_t> value_positions;  ///< original order
   std::vector<size_t> key_layout;       ///< canonical (the projection index's)
   std::vector<size_t> value_layout;     ///< canonical
+  /// Per value_layout entry: 1 when the position is already bound before
+  /// this step (the projection must agree with it), 0 when the step binds
+  /// it. Static because every candidate of a step binds the same positions.
+  std::vector<uint8_t> value_check;
 };
 
 /// One compiled atom of an embedded chase plan.

@@ -370,10 +370,6 @@ Result<std::shared_ptr<const CompiledProgram>> CompileEmbedded(
   for (size_t ai = 0; ai < plan.atom_plans.size(); ++ai) {
     const AtomPlan& ap = plan.atom_plans[ai];
     const CqAtom& atom = q.atoms()[ap.atom_index];
-    if (atom.args.size() > 64) {
-      return Status::Unimplemented(
-          "atom arity exceeds 64 (chase validity mask is one machine word)");
-    }
     AtomCode ac;
     ac.relation = InternRelation(p, atom.relation);
     ac.op_idx = static_cast<int32_t>(ai) + 1;
@@ -407,10 +403,13 @@ Result<std::shared_ptr<const CompiledProgram>> CompileEmbedded(
               "chase step key position is not yet bound");
         }
       }
+      // Every candidate at this step has the same bound positions, so
+      // check-or-bind per value position is decided here, not per row.
       for (size_t pos : sc.value_layout) {
         if (pos >= ac.arity) {
           return Status::Unimplemented("chase step value position out of range");
         }
+        sc.value_check.push_back(pos_bound[pos] ? 1 : 0);
         pos_bound[pos] = true;
       }
       ac.steps.push_back(std::move(sc));

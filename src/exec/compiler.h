@@ -36,9 +36,10 @@ Result<std::shared_ptr<const CompiledProgram>> CompilePlain(
     std::shared_ptr<const ControllabilityAnalysis> analysis,
     const VarSet& param_vars);
 
-/// Lowers a Proposition 4.5 embedded chase plan into register bytecode.
-/// Rejects non-scale-independent analyses and atoms of arity > 64 (the
-/// chase candidate validity mask is one machine word).
+/// Lowers a Proposition 4.5 embedded chase plan into register bytecode —
+/// the only chase engine: BoundedEvaluator::EvaluateEmbedded* compile with
+/// this and run the VM. Rejects non-scale-independent analyses with
+/// FailedPrecondition; any atom arity is accepted.
 Result<std::shared_ptr<const CompiledProgram>> CompileEmbedded(
     std::shared_ptr<const EmbeddedCqAnalysis> analysis);
 

@@ -16,10 +16,11 @@
 namespace scalein::exec {
 namespace {
 
-/// Keep in sync with bounded_eval.cc's kParallelFrontierThreshold: the
-/// compiled path must fan out at exactly the same frontier widths so the
+/// Keep in sync with bounded_eval.cc's kParallelFrontierThreshold: compiled
+/// plain plans must fan out at exactly the same frontier widths so the
 /// morsel splits — and therefore the charge-log replay order — stay
-/// identical to the interpreter at every thread count.
+/// identical to the plain interpreter at every thread count. The chase uses
+/// the same width.
 constexpr size_t kParallelFrontierThreshold = 16;
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -592,8 +593,8 @@ Status CheckEmbeddedParams(const CompiledProgram& p, const Binding& params) {
                                      v.name() + "'");
     }
   }
-  // Extra bindings would seed the interpreter's chase frontier but have no
-  // registers here; reject so the caller falls back to interpretation.
+  // Extra bindings have no registers; the chase contract is exactly the
+  // parameters the analysis was built with.
   if (params.size() != p.params.size()) {
     return Status::InvalidArgument(
         "compiled program was built for parameters " +
@@ -603,19 +604,18 @@ Status CheckEmbeddedParams(const CompiledProgram& p, const Binding& params) {
 }
 
 /// Per-lane scratch of the embedded chase: flat arity-wide candidate
-/// buffers with one validity-mask word per candidate (arity ≤ 64, enforced
-/// by the compiler).
+/// buffers. Which positions a candidate has bound is static per chase step
+/// (ChaseStepCode::value_check), so candidates carry no validity mask.
 struct EmbScratch {
   std::vector<Value> cand;
-  std::vector<uint64_t> mask;
   std::vector<Value> ext;
-  std::vector<uint64_t> ext_mask;
   Tuple key;
 };
 
-/// One frontier row through one compiled atom's chase — the register form
-/// of the interpreter's process_assignment, with the identical metered
-/// calls, error strings, and candidate/extension order.
+/// One frontier row through one compiled atom's chase (Proposition 4.5):
+/// seed the partial tuple, extend it through each chase step's metered
+/// projection lookup, verify the complete candidates, and unify them into
+/// the output frontier.
 Status ProcessRow(const Shared& sh, const AtomCode& ac, const Relation* rel,
                   const Value* row, ExecContext* actx, OpCounters* aop,
                   std::vector<Value>* out, size_t w, EmbScratch* s) {
@@ -624,30 +624,22 @@ Status ProcessRow(const Shared& sh, const AtomCode& ac, const Relation* rel,
   const size_t arity = ac.arity;
   // Seed partial tuple from constants and bound registers.
   s->cand.assign(arity, Value());
-  uint64_t seed_mask = 0;
   for (size_t pos = 0; pos < arity; ++pos) {
     const Slot& slot = ac.seed[pos];
     if (slot.kind == Slot::Kind::kConst) {
       s->cand[pos] = p.consts[slot.index];
-      seed_mask |= uint64_t{1} << pos;
     } else if (slot.kind == Slot::Kind::kReg) {
       s->cand[pos] = row[slot.reg];
-      seed_mask |= uint64_t{1} << pos;
     }
   }
-  s->mask.assign(1, seed_mask);
+  size_t m = 1;  // candidate count (arity may be 0)
   for (const ChaseStepCode& step : ac.steps) {
     s->ext.clear();
-    s->ext_mask.clear();
-    const size_t m = s->mask.size();
+    size_t next_m = 0;
     for (size_t ci = 0; ci < m; ++ci) {
       const Value* cand = s->cand.data() + ci * arity;
-      const uint64_t cmask = s->mask[ci];
       s->key.clear();
-      for (size_t pos : step.key_layout) {
-        SI_CHECK(cmask >> pos & 1);
-        s->key.push_back(cand[pos]);
-      }
+      for (size_t pos : step.key_layout) s->key.push_back(cand[pos]);
       std::vector<Tuple> projections =
           MeteredProjectionLookup(actx, name, *rel, step.key_positions,
                                   step.value_positions, s->key, aop);
@@ -660,29 +652,27 @@ Status ProcessRow(const Shared& sh, const AtomCode& ac, const Relation* rel,
       for (const Tuple& proj : projections) {
         const size_t base = s->ext.size();
         s->ext.insert(s->ext.end(), cand, cand + arity);
-        uint64_t emask = cmask;
+        Value* ext = s->ext.data() + base;
         bool ok = true;
         for (size_t i = 0; i < step.value_layout.size() && ok; ++i) {
           const size_t pos = step.value_layout[i];
-          if (emask >> pos & 1) {
-            ok = s->ext[base + pos] == proj[i];
+          if (step.value_check[i]) {
+            ok = ext[pos] == proj[i];
           } else {
-            s->ext[base + pos] = proj[i];
-            emask |= uint64_t{1} << pos;
+            ext[pos] = proj[i];
           }
         }
         if (ok) {
-          s->ext_mask.push_back(emask);
+          ++next_m;
         } else {
           s->ext.resize(base);
         }
       }
     }
     s->cand.swap(s->ext);
-    s->mask.swap(s->ext_mask);
+    m = next_m;
   }
   // All positions are now bound; verify if required, then unify.
-  const size_t m = s->mask.size();
   for (size_t ci = 0; ci < m; ++ci) {
     const Value* cand = s->cand.data() + ci * arity;
     if (ac.needs_verification) {
@@ -994,8 +984,12 @@ Result<AnswerSet> CompiledEvaluator::EvaluateEmbeddedImpl(
                                       op, &next, w, &scratch));
       }
     } else {
-      // Governed morsel fan-out over the frontier: identical split, replay,
-      // and reconciliation to the interpreter's chase (bounded_eval.cc).
+      // Governed morsel fan-out over the frontier (the sub-budget lease /
+      // charge-log replay protocol, exec/governed_parallel.h): worker lanes
+      // charge private logs against per-lane leases and the parent replays
+      // them in morsel order through its own armed governor, so answers,
+      // accounting, and trip verdicts are byte-identical to the sequential
+      // walk at any thread count — armed or not.
       const std::vector<std::pair<size_t, size_t>> ranges =
           par::SplitRanges(n_rows, pool.threads() * 4);
       std::vector<std::vector<Value>> worker_out(ranges.size());
@@ -1111,8 +1105,10 @@ Result<Degraded<AnswerSet>> CompiledEvaluator::EvaluateEmbeddedDegraded(
   out.trip = ctx.trip();
   out.ops = ctx.SnapshotOps();
   if (fallback_to_approx && limits_.fetch_budget > 0) {
-    // PIQL-style success tolerance, identical to the interpreter: re-answer
-    // the parameter-substituted CQ with the greedy budgeted engine.
+    // PIQL-style success tolerance: re-answer the parameter-substituted CQ
+    // with the greedy budgeted engine under the same budget M. Every answer
+    // it reports is a genuine answer of Q(D); project its full-head tuples
+    // onto the embedded answer shape (open head variables only).
     const Cq& q = program.embed_query;
     std::map<Variable, Term> subst;
     for (const auto& [v, val] : params) subst.emplace(v, Term::Const(val));

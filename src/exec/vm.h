@@ -15,14 +15,19 @@ namespace scalein::exec {
 
 /// Register-bytecode executor for compiled bounded plans (exec/compiler.h).
 ///
-/// Drop-in twin of core's BoundedEvaluator for programs the compiler
-/// accepted: same entry points, same limits/enforcement/timing knobs, and —
-/// the contract everything else hangs off — the *identical* sequence of
-/// metered charges against an identically-registered op table. Answers,
+/// For kPlain programs it is a drop-in twin of core's BoundedEvaluator
+/// interpreter: same entry points, same limits/enforcement/timing knobs,
+/// and — the contract everything else hangs off — the *identical* sequence
+/// of metered charges against an identically-registered op table. Answers,
 /// fetch totals, per-relation/per-op accounting, TripInfo, and sealed access
 /// certificates are byte-equal to the interpreter at any thread count; wide
 /// frontiers fan out through the same governed morsel protocol
 /// (exec/governed_parallel.h) with the same thresholds and splits.
+///
+/// For kEmbedded programs it is the only engine of the Proposition 4.5
+/// chase: BoundedEvaluator::EvaluateEmbedded* compile and forward here. Its
+/// observables are pinned by tests/golden/embedded_chase.golden, recorded
+/// from the option-tree chase this engine replaced.
 ///
 /// What the compiled path removes is the interpreter's per-tuple data
 /// structures: frontiers are flat register rows instead of
@@ -77,8 +82,10 @@ class CompiledEvaluator {
       const CompiledProgram& program, const std::vector<Binding>& batch,
       BoundedEvalStats* stats = nullptr) const;
 
-  /// Degradation-aware kEmbedded execution, with the same optional
-  /// approx-engine fallback as the interpreter.
+  /// Degradation-aware kEmbedded execution. On a governor trip, when
+  /// `fallback_to_approx` is set and a fetch budget is armed, the greedy
+  /// budgeted engine (core/approx.h) re-answers the CQ within the same
+  /// budget and the result is marked `fallback = "approx"`.
   Result<Degraded<AnswerSet>> EvaluateEmbeddedDegraded(
       const CompiledProgram& program, const Binding& params,
       BoundedEvalStats* stats = nullptr, bool fallback_to_approx = false) const;
@@ -97,7 +104,7 @@ class CompiledEvaluator {
 
 /// Builds every index `program` can probe (plain leaves or embedded chase
 /// steps + verification), so parallel execution only ever finds them —
-/// the compiled counterpart of the interpreter's Prebuild* helpers.
+/// the compiled counterpart of the interpreter's PrebuildPlainIndexes.
 void PrebuildCompiledIndexes(const Database& db, const CompiledProgram& program);
 
 }  // namespace scalein::exec

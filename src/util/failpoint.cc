@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <thread>
+#include <utility>
 
 #include "util/strings.h"
 
@@ -142,21 +143,35 @@ Failpoints& Failpoints::Global() {
   return *instance;
 }
 
+std::shared_ptr<const Failpoints::SiteList> Failpoints::Sites() const {
+  std::lock_guard<std::mutex> lock(sites_mu_);
+  return sites_;
+}
+
+void Failpoints::Publish(std::shared_ptr<const SiteList> sites) {
+  std::shared_ptr<const SiteList> old;
+  std::lock_guard<std::mutex> lock(sites_mu_);
+  old = std::exchange(sites_, std::move(sites));
+  // `old` is freed here, or by the last Hit still walking it.
+}
+
 Status Failpoints::Configure(const std::string& spec) {
   std::vector<FailpointConfig> configs;
   uint64_t seed = 0;
   SI_RETURN_IF_ERROR(ParseFailpointSpec(spec, &configs, &seed));
   armed_flag_.store(false, std::memory_order_relaxed);
-  sites_.clear();
+  auto sites = std::make_shared<SiteList>();
   for (FailpointConfig& config : configs) {
     auto state = std::make_unique<SiteState>();
     state->config = std::move(config);
-    sites_.push_back(std::move(state));
+    sites->push_back(std::move(state));
   }
+  const bool arm = !sites->empty();
+  Publish(std::move(sites));
   rng_state_.store(seed, std::memory_order_relaxed);
   hits_.store(0, std::memory_order_relaxed);
   fires_.store(0, std::memory_order_relaxed);
-  if (!sites_.empty()) armed_flag_.store(true, std::memory_order_relaxed);
+  if (arm) armed_flag_.store(true, std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -168,11 +183,14 @@ Status Failpoints::InitFromEnv() {
 
 void Failpoints::Clear() {
   armed_flag_.store(false, std::memory_order_relaxed);
-  sites_.clear();
+  Publish(std::make_shared<SiteList>());
 }
 
 Status Failpoints::Hit(const char* site) {
-  for (const std::unique_ptr<SiteState>& state : sites_) {
+  // Held for the whole walk: a concurrent (or listener-issued) Clear or
+  // Configure publishes a new list but cannot free this one.
+  const std::shared_ptr<const SiteList> sites = Sites();
+  for (const std::unique_ptr<SiteState>& state : *sites) {
     const FailpointConfig& config = state->config;
     if (config.site != site) continue;
     hits_.fetch_add(1, std::memory_order_relaxed);
@@ -215,9 +233,10 @@ Status Failpoints::Hit(const char* site) {
 }
 
 std::vector<FailpointConfig> Failpoints::configs() const {
+  const std::shared_ptr<const SiteList> sites = Sites();
   std::vector<FailpointConfig> out;
-  out.reserve(sites_.size());
-  for (const std::unique_ptr<SiteState>& state : sites_) {
+  out.reserve(sites->size());
+  for (const std::unique_ptr<SiteState>& state : *sites) {
     out.push_back(state->config);
   }
   return out;

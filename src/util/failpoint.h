@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -75,8 +76,12 @@ struct FailpointConfig {
 /// kUnknown and surfaces the Status in the decision's `error` field — it
 /// never forges a yes/no.
 ///
-/// Thread safety: Configure/Clear must not race with hits (arm before the
-/// workload, as the chaos harness does); counters use relaxed atomics.
+/// Thread safety: the armed site list is immutable and published as a
+/// shared_ptr snapshot; `Hit` holds the snapshot it started with for its
+/// whole walk, so `Configure`/`Clear` may run concurrently with hits (or
+/// from a fire listener inside one) without freeing a site under a reader.
+/// A hit that overlaps a reconfiguration sees either the old or the new
+/// list. Counters use relaxed atomics.
 class Failpoints {
  public:
   /// Process-wide registry used by the SCALEIN_FAILPOINT macro.
@@ -124,11 +129,17 @@ class Failpoints {
     FailpointConfig config;
     std::atomic<uint64_t> hit_count{0};
   };
+  using SiteList = std::vector<std::unique_ptr<SiteState>>;
+
+  /// The current site list (never null); copied under `sites_mu_`.
+  std::shared_ptr<const SiteList> Sites() const;
+  void Publish(std::shared_ptr<const SiteList> sites);
 
   static std::atomic<bool> armed_flag_;
 
-  // Swapped wholesale by Configure; sized at arm time, stable while armed.
-  std::vector<std::unique_ptr<SiteState>> sites_;
+  // Replaced wholesale by Configure/Clear, never mutated once published.
+  mutable std::mutex sites_mu_;
+  std::shared_ptr<const SiteList> sites_ = std::make_shared<SiteList>();
   std::atomic<uint64_t> rng_state_{0};
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> fires_{0};

@@ -8,8 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <map>
+#include <set>
+#include <sstream>
+
 #include "core/analysis_cache.h"
 #include "core/bounded_eval.h"
+#include "embedded_golden.h"
+#include "eval/cq_evaluator.h"
 #include "exec/compiler.h"
 #include "io/shell.h"
 #include "obs/journal.h"
@@ -359,152 +366,200 @@ TEST(CompiledVmTest, BatchEvaluationDifferential) {
 }
 
 // ---------------------------------------------------------------------------
-// Embedded (Proposition 4.5 chase) differential.
+// Embedded (Proposition 4.5 chase): the VM is the only chase engine, so its
+// every observable is replayed against tests/golden/embedded_chase.golden,
+// recorded from the option-tree chase it replaced (tests/embedded_golden.h).
 
-Cq Q3(const Schema& s) {
-  Result<Cq> q = ParseCq(
-      "Q3(rn, p, yy) :- friend(p, id), visit(id, rid, yy, mm, dd), "
-      "person(id, pn, \"NYC\"), restr(rid, rn, \"NYC\", \"A\")",
-      &s);
-  SI_CHECK_MSG(q.ok(), q.status().message().c_str());
-  return *std::move(q);
+/// The golden cases by name.
+std::map<std::string, std::string> GoldenCases() {
+  std::ifstream in(std::string(SCALEIN_GOLDEN_DIR) + "/embedded_chase.golden");
+  SI_CHECK_MSG(in.good(), "cannot open embedded_chase.golden");
+  std::stringstream text;
+  text << in.rdbuf();
+  const golden::Cases cases = golden::ParseGolden(text.str());
+  return {cases.begin(), cases.end()};
 }
 
-struct DatedSocial {
-  SocialConfig config;
-  Schema schema = SocialSchema(true);
-  Database db{Schema{}};
-  AccessSchema access;
-
-  DatedSocial() {
-    config.num_persons = 80;
-    config.max_friends_per_person = 8;
-    config.num_restaurants = 12;
-    config.avg_visits_per_person = 14;
-    config.num_cities = 2;
-    config.num_years = 1;
-    config.dated_visits = true;
-    config.seed = 17;
-    db = GenerateSocial(config);
-    access = SocialAccessSchema(config);
-    SI_CHECK(access.BuildIndexes(&db, schema).ok());
+void ExpectMatchesGolden(const golden::Cases& got, const std::string& label) {
+  static const std::map<std::string, std::string> want = GoldenCases();
+  ASSERT_FALSE(got.empty());
+  for (const auto& [name, text] : got) {
+    auto it = want.find(name);
+    ASSERT_NE(it, want.end()) << "no golden case '" << name << "'";
+    EXPECT_EQ(text, it->second) << label << ": " << name;
   }
+}
 
-  std::shared_ptr<const EmbeddedCqAnalysis> Analysis() {
-    Result<EmbeddedCqAnalysis> a = EmbeddedCqAnalysis::Analyze(
-        Q3(schema), schema, access, {V("p"), V("yy")});
-    SI_CHECK_MSG(a.ok(), a.status().message().c_str());
-    SI_CHECK(a->IsScaleIndependent());
-    return std::make_shared<const EmbeddedCqAnalysis>(*std::move(a));
-  }
+std::shared_ptr<const exec::CompiledProgram> CompileOrDie(
+    const EmbeddedCqAnalysis& analysis) {
+  Result<std::shared_ptr<const exec::CompiledProgram>> program =
+      exec::CompileEmbedded(std::shared_ptr<const EmbeddedCqAnalysis>(
+          std::shared_ptr<const EmbeddedCqAnalysis>(), &analysis));
+  SI_CHECK_MSG(program.ok(), program.status().message().c_str());
+  return *std::move(program);
+}
 
-  Binding Params(int64_t p) {
-    return {{V("p"), Value::Int(p)},
-            {V("yy"),
-             Value::Int(static_cast<int64_t>(config.first_year))}};
-  }
-};
+/// The VM run directly on a compiled program.
+golden::ChaseEngine VmEngine(Database* db) {
+  return {[db](const EmbeddedCqAnalysis& a, const exec::GovernorLimits& limits,
+               const Binding& params, BoundedEvalStats* stats) {
+            exec::CompiledEvaluator vm(db);
+            vm.set_limits(limits);
+            return vm.EvaluateEmbedded(*CompileOrDie(a), params, stats);
+          },
+          [db](const EmbeddedCqAnalysis& a, const exec::GovernorLimits& limits,
+               const Binding& params, BoundedEvalStats* stats, bool approx) {
+            exec::CompiledEvaluator vm(db);
+            vm.set_limits(limits);
+            return vm.EvaluateEmbeddedDegraded(*CompileOrDie(a), params, stats,
+                                               approx);
+          }};
+}
 
-TEST(CompiledVmTest, EmbeddedDifferentialAcrossParams) {
-  DatedSocial social;
-  std::shared_ptr<const EmbeddedCqAnalysis> analysis = social.Analysis();
-  Result<std::shared_ptr<const exec::CompiledProgram>> compiled =
-      exec::CompileEmbedded(analysis);
-  ASSERT_TRUE(compiled.ok()) << compiled.status().message();
+/// BoundedEvaluator's forwarding entry points (compile + VM per call).
+golden::ChaseEngine ForwardingEngine(Database* db) {
+  return {[db](const EmbeddedCqAnalysis& a, const exec::GovernorLimits& limits,
+               const Binding& params, BoundedEvalStats* stats) {
+            BoundedEvaluator e(db);
+            e.set_limits(limits);
+            return e.EvaluateEmbedded(a, params, stats);
+          },
+          [db](const EmbeddedCqAnalysis& a, const exec::GovernorLimits& limits,
+               const Binding& params, BoundedEvalStats* stats, bool approx) {
+            BoundedEvaluator e(db);
+            e.set_limits(limits);
+            return e.EvaluateEmbeddedDegraded(a, params, stats, approx);
+          }};
+}
+
+/// Runs `cases` through both engines at threads {1, 4} against the golden.
+template <typename CaseFn>
+void ExpectGoldenAtEveryWidth(golden::DatedSocial* social, CaseFn cases) {
   PoolGuard guard;
-  int nonempty = 0;
   for (size_t threads : {size_t{1}, size_t{4}}) {
     par::WorkerPool::Global().Resize(threads);
-    for (int64_t p = 0; p < 20; ++p) {
-      BoundedEvaluator interp(&social.db);
-      BoundedEvalStats istats;
-      istats.capture_ops = true;
-      Result<AnswerSet> iref =
-          interp.EvaluateEmbedded(*analysis, social.Params(p), &istats);
-      exec::CompiledEvaluator vm(&social.db);
-      BoundedEvalStats vstats;
-      vstats.capture_ops = true;
-      Result<AnswerSet> vref =
-          vm.EvaluateEmbedded(**compiled, social.Params(p), &vstats);
-      ASSERT_EQ(iref.ok(), vref.ok()) << "p=" << p;
-      ASSERT_TRUE(iref.ok()) << iref.status().ToString();
-      EXPECT_EQ(*iref, *vref) << "p=" << p;
-      if (!iref->empty()) ++nonempty;
-      ExpectSameStats(istats, vstats, "embedded");
-    }
+    const std::string label = "threads=" + std::to_string(threads);
+    ExpectMatchesGolden(cases(*social, VmEngine(&social->db)), label + " vm");
+    ExpectMatchesGolden(cases(*social, ForwardingEngine(&social->db)),
+                        label + " BoundedEvaluator");
+  }
+}
+
+TEST(CompiledVmTest, EmbeddedMatchesGoldenAcrossParams) {
+  golden::DatedSocial social;
+  ExpectGoldenAtEveryWidth(&social, golden::SweepCases);
+  // Reference checks: answers equal the CQ semantics and fetches stay
+  // within the Proposition 4.5 static bound.
+  std::shared_ptr<const EmbeddedCqAnalysis> analysis = social.Analysis();
+  const Cq q3 = social.Query(golden::kQ3);
+  CqEvaluator reference(&social.db);
+  exec::CompiledEvaluator vm(&social.db);
+  int nonempty = 0;
+  for (int64_t p = 0; p < 20; ++p) {
+    BoundedEvalStats stats;
+    Result<AnswerSet> r =
+        vm.EvaluateEmbedded(*CompileOrDie(*analysis), social.Params(p), &stats);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(*r, reference.Evaluate(q3, social.Params(p))) << "p=" << p;
+    EXPECT_LE(static_cast<double>(stats.base_tuples_fetched),
+              analysis->StaticFetchBound());
+    if (!r->empty()) ++nonempty;
   }
   EXPECT_GT(nonempty, 0);
 }
 
-TEST(CompiledVmTest, EmbeddedDegradedTripsAreByteIdentical) {
-  DatedSocial social;
-  std::shared_ptr<const EmbeddedCqAnalysis> analysis = social.Analysis();
-  Result<std::shared_ptr<const exec::CompiledProgram>> compiled =
-      exec::CompileEmbedded(analysis);
-  ASSERT_TRUE(compiled.ok()) << compiled.status().message();
-  PoolGuard guard;
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    par::WorkerPool::Global().Resize(threads);
-    for (uint64_t budget : {uint64_t{1}, uint64_t{3}, uint64_t{10}}) {
-      exec::GovernorLimits limits;
-      limits.fetch_budget = budget;
-      BoundedEvaluator interp(&social.db);
-      interp.set_limits(limits);
-      BoundedEvalStats istats;
-      istats.capture_ops = true;
-      Result<exec::Degraded<AnswerSet>> iref = interp.EvaluateEmbeddedDegraded(
-          *analysis, social.Params(3), &istats);
-      exec::CompiledEvaluator vm(&social.db);
-      vm.set_limits(limits);
-      BoundedEvalStats vstats;
-      vstats.capture_ops = true;
-      Result<exec::Degraded<AnswerSet>> vref =
-          vm.EvaluateEmbeddedDegraded(**compiled, social.Params(3), &vstats);
-      ASSERT_EQ(iref.ok(), vref.ok()) << "budget=" << budget;
-      if (!iref.ok()) {
-        EXPECT_EQ(iref.status().code(), vref.status().code());
-        EXPECT_EQ(iref.status().message(), vref.status().message());
-        continue;
-      }
-      EXPECT_EQ(iref->value, vref->value) << "budget=" << budget;
-      EXPECT_EQ(iref->complete, vref->complete) << "budget=" << budget;
-      ExpectSameTrip(iref->trip, vref->trip, "embedded degraded");
-      ExpectSameStats(istats, vstats, "embedded degraded");
-      EXPECT_EQ(SealedPayload(istats, !iref->complete, iref->trip),
-                SealedPayload(vstats, !vref->complete, vref->trip));
-    }
+TEST(CompiledVmTest, EmbeddedDegradedTripsMatchGolden) {
+  golden::DatedSocial social;
+  ExpectGoldenAtEveryWidth(&social, golden::DegradedCases);
+  // Every answer a degraded run reports, approx fallback included, is a
+  // genuine answer.
+  CqEvaluator reference(&social.db);
+  for (const char* text : {golden::kQ3, golden::kQ3Month}) {
+    exec::GovernorLimits limits;
+    limits.fetch_budget = 10;
+    Result<exec::Degraded<AnswerSet>> r =
+        VmEngine(&social.db)
+            .degraded(*social.Analysis(text), limits, social.Params(3),
+                      nullptr, true);
+    ASSERT_TRUE(r.ok());
+    const AnswerSet all =
+        reference.Evaluate(social.Query(text), social.Params(3));
+    for (const Tuple& t : r->value) EXPECT_TRUE(all.count(t)) << text;
   }
 }
 
-TEST(CompiledVmTest, FailpointInjectedChaseErrorsAreByteIdentical) {
-  DatedSocial social;
-  std::shared_ptr<const EmbeddedCqAnalysis> analysis = social.Analysis();
-  Result<std::shared_ptr<const exec::CompiledProgram>> compiled =
-      exec::CompileEmbedded(analysis);
-  ASSERT_TRUE(compiled.ok());
-  struct FailpointGuard {
-    ~FailpointGuard() { util::Failpoints::Global().Clear(); }
-  } fp_guard;
-  util::Failpoints& fp = util::Failpoints::Global();
-  PoolGuard guard;
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    par::WorkerPool::Global().Resize(threads);
-    // The every-2 stream is global; reset it per engine so both see the
-    // same fire schedule.
-    ASSERT_TRUE(fp.Configure("chase_step=error(every:2)").ok());
-    BoundedEvaluator interp(&social.db);
-    Result<AnswerSet> iref =
-        interp.EvaluateEmbedded(*analysis, social.Params(3));
-    ASSERT_TRUE(fp.Configure("chase_step=error(every:2)").ok());
-    exec::CompiledEvaluator vm(&social.db);
-    Result<AnswerSet> vref = vm.EvaluateEmbedded(**compiled, social.Params(3));
-    ASSERT_EQ(iref.ok(), vref.ok());
-    if (!iref.ok()) {
-      EXPECT_EQ(iref.status().code(), vref.status().code());
-      EXPECT_EQ(iref.status().message(), vref.status().message());
+TEST(CompiledVmTest, FailpointChaseErrorsMatchGolden) {
+  golden::DatedSocial social;
+  ExpectGoldenAtEveryWidth(&social, golden::FailpointCases);
+}
+
+TEST(CompiledVmTest, GoldenHasNoStaleCases) {
+  golden::DatedSocial social;
+  const golden::ChaseEngine engine = VmEngine(&social.db);
+  std::set<std::string> names;
+  for (const golden::Cases& cases :
+       {golden::SweepCases(social, engine),
+        golden::DegradedCases(social, engine),
+        golden::FailpointCases(social, engine)}) {
+    for (const auto& [name, text] : cases) names.insert(name);
+  }
+  std::set<std::string> golden_names;
+  for (const auto& [name, text] : GoldenCases()) golden_names.insert(name);
+  EXPECT_EQ(names, golden_names);
+}
+
+TEST(CompiledVmTest, WideAtomChaseCompilesAndMatchesReference) {
+  // A 70-column relation: two embedded statements expose overlapping
+  // halves (the second step checks a30..a40 instead of binding them) and a
+  // plain statement verifies the assembled candidates.
+  constexpr size_t kWidth = 70;
+  std::vector<std::string> cols = {"k"};
+  for (size_t i = 1; i < kWidth; ++i) cols.push_back("a" + std::to_string(i));
+  Schema s;
+  s.Relation("w", cols);
+  Database db(s);
+  for (int64_t k : {1, 2}) {
+    for (int64_t r = 0; r < 3; ++r) {
+      Tuple t{Value::Int(k)};
+      for (size_t i = 1; i < kWidth; ++i) {
+        t.push_back(Value::Int(static_cast<int64_t>(i) * 100 + r + 10 * k));
+      }
+      db.Insert("w", t);
     }
   }
-  fp.Clear();
+  std::vector<std::string> left(cols.begin() + 1, cols.begin() + 41);
+  std::vector<std::string> right(cols.begin() + 30, cols.end());
+  AccessSchema access;
+  access.AddEmbedded("w", {"k"}, left, 5);
+  access.AddEmbedded("w", {"k"}, right, 5);
+  access.Add("w", {"k"}, 10);
+  ASSERT_TRUE(access.BuildIndexes(&db, s).ok());
+  std::string text = "Q(a1, a69) :- w(k";
+  for (size_t i = 1; i < kWidth; ++i) text += ", a" + std::to_string(i);
+  text += ")";
+  Result<Cq> q = ParseCq(text, &s);
+  ASSERT_TRUE(q.ok()) << q.status().message();
+  Result<EmbeddedCqAnalysis> analyzed =
+      EmbeddedCqAnalysis::Analyze(*q, s, access, {V("k")});
+  ASSERT_TRUE(analyzed.ok());
+  ASSERT_TRUE(analyzed->IsScaleIndependent());
+  auto analysis =
+      std::make_shared<const EmbeddedCqAnalysis>(*std::move(analyzed));
+  Result<std::shared_ptr<const exec::CompiledProgram>> compiled =
+      exec::CompileEmbedded(analysis);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().message();
+  CqEvaluator reference(&db);
+  exec::CompiledEvaluator vm(&db);
+  for (int64_t k : {1, 2, 3}) {
+    const Binding params{{V("k"), Value::Int(k)}};
+    BoundedEvalStats stats;
+    Result<AnswerSet> r = vm.EvaluateEmbedded(**compiled, params, &stats);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(*r, reference.Evaluate(*q, params)) << "k=" << k;
+    EXPECT_EQ(r->size(), k == 3 ? 0u : 3u);
+    EXPECT_LE(static_cast<double>(stats.base_tuples_fetched),
+              analysis->StaticFetchBound());
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -118,6 +118,26 @@ TEST(FailpointTest, ClearDisarms) {
   EXPECT_TRUE(SCALEIN_FAILPOINT("scan_next").ok());
 }
 
+TEST(FailpointTest, ListenerMayClearInsideItsOwnHit) {
+  // A fire listener runs inside Hit() while Hit still reads the firing
+  // site's config. Clearing the registry from there must not free that
+  // config under the walk (Hit holds the site-list snapshot it started on).
+  GlobalFailpointGuard guard;
+  struct ListenerGuard {
+    ~ListenerGuard() { Failpoints::Global().set_fire_listener(nullptr); }
+  } listener_guard;
+  Failpoints& fp = Failpoints::Global();
+  fp.set_fire_listener(
+      [](const char*, const char*) { Failpoints::Global().Clear(); });
+  ASSERT_TRUE(fp.Configure("scan_next=error").ok());
+  Status s = fp.Hit("scan_next");
+  EXPECT_EQ(s.code(), StatusCode::kInternal);
+  EXPECT_EQ(s.message(), "failpoint 'scan_next' fired");
+  EXPECT_FALSE(Failpoints::armed());
+  EXPECT_TRUE(fp.configs().empty());
+  EXPECT_TRUE(fp.Hit("scan_next").ok());
+}
+
 TEST(FailpointTest, InitFromEnvArmsFromVariable) {
   GlobalFailpointGuard guard;
   Failpoints& fp = Failpoints::Global();
